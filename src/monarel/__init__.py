@@ -4,7 +4,6 @@ lifting with exact decision procedures, a small monadic language with
 logical relations, and probabilistic bisimulation."""
 
 from .finset import (
-    EMPTY,
     UNIT,
     UNIT_ATOM,
     Factorization,

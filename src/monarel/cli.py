@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import jsonio
 from .bisim import (check_bisimulation, check_prob_bisimulation,
                     largest_bisimulation, larsen_skou_check)
-from .finset import Rel, atom_str
+from .finset import Rel, atom_key, atom_str
 from .lawcheck import SET, check_cartesian, standard_battery
 from .lifting import (lift_enumerate, lift_member_dist,
                       lift_member_dist_saturated, lift_member_powerset)
-from .metalang import (ParseError, TypecheckError, basic_lemma_check, parse,
-                       parse_ty, synthesize, term_str, type_pool, typecheck)
+from .metalang import (ParseError, TTy, TypecheckError, basic_lemma_check,
+                       logical_relation, parse, parse_ty, synthesize, term_str,
+                       type_pool, typecheck)
 from .poset import ORD, lift_relation_ord
 
 
@@ -61,12 +63,17 @@ def _monad(args):
 
 def cmd_check_laws(args):
     t = _monad(args)
+    if args.max_size < 0:
+        raise _Usage("--max-size must be at least 0")
     cat = ORD if t.category == "ord" else SET
     sets = cat.default_sets(args.max_size)
-    reports = standard_battery(t, sets, samples=args.samples, seed=args.seed,
-                               category=cat)
-    cartesian = check_cartesian(t, sets, samples=args.samples, seed=args.seed,
-                                category=cat)
+    try:
+        reports = standard_battery(t, sets, samples=args.samples,
+                                   seed=args.seed, category=cat)
+        cartesian = check_cartesian(t, sets, samples=args.samples,
+                                    seed=args.seed, category=cat)
+    except ValueError as e:
+        raise _Usage(f"--max-size {args.max_size}: {e}")
     ok = all(r.ok for r in reports)
     if args.json:
         _emit(args, {
@@ -102,14 +109,9 @@ def cmd_lift(args):
     else:
         print(f"{len(lifted.pairs)} related pairs over "
               f"{len(lifted.left)} x {len(lifted.right)} carriers")
-        for a, b in sorted(lifted.pairs, key=_pair_key):
+        for a, b in sorted(lifted.pairs, key=atom_key):
             print(f"  {atom_str(a)}  ~  {atom_str(b)}")
     return 0
-
-
-def _pair_key(p):
-    from .finset import atom_key
-    return atom_key(p)
 
 
 def cmd_member(args):
@@ -226,6 +228,8 @@ def cmd_max_bisim(args):
     loader = jsonio.load_lts if kind == "powerset" else jsonio.load_plts
     if kind == "auto":
         raw = _read_json(args.sys1)
+        if not isinstance(raw, dict):
+            raise _Usage(f"{args.sys1}: a transition system must be an object")
         probabilistic = isinstance(raw.get("step", {}), dict) and any(
             isinstance(v, dict) for v in raw["step"].values())
         loader = jsonio.load_plts if probabilistic else jsonio.load_lts
@@ -240,7 +244,7 @@ def cmd_max_bisim(args):
         _emit(args, {"largest": jsonio.rel_json(best)})
     else:
         print(f"largest bisimulation: {len(best.pairs)} pairs")
-        for a, b in sorted(best.pairs, key=_pair_key):
+        for a, b in sorted(best.pairs, key=atom_key):
             print(f"  {a}  ~  {b}")
     return 0
 
@@ -283,7 +287,6 @@ def cmd_logrel(args):
     except ParseError as e:
         raise _Usage(f"--type: {e}")
     try:
-        from .metalang import logical_relation
         rel = logical_relation(m1, m2, base, ty)
     except ValueError as e:
         raise _Usage(str(e))
@@ -292,7 +295,7 @@ def cmd_logrel(args):
     else:
         print(f"relation at {ty}: {len(rel.pairs)} pairs over "
               f"{len(rel.left)} x {len(rel.right)}")
-        for a, b in sorted(rel.pairs, key=_pair_key):
+        for a, b in sorted(rel.pairs, key=atom_key):
             print(f"  {atom_str(a)}  ~  {atom_str(b)}")
     return 0
 
@@ -316,7 +319,6 @@ def _parse_ctx(src):
 
 
 def cmd_basic_lemma(args):
-    import random
     m1, m2, base = _models_and_base(args)
     ctx = _parse_ctx(args.ctx)
     if args.term:
@@ -347,7 +349,6 @@ def cmd_basic_lemma(args):
         ctx = _parse_ctx(f"x:{name}, m:T {name}")
     rng = random.Random(args.seed)
     types = type_pool(ctx, parse_ty("Unit"))
-    from .metalang import TTy
     types = types + [TTy(s) for s in types if not isinstance(s, TTy)]
     checked = 0
     failures = []
@@ -397,7 +398,7 @@ def cmd_poset_lift(args):
         for name, r in results.items():
             print(f"[{name}] {len(r.pairs)} pairs, "
                   f"{sum(1 for p, q in r.order if p != q)} strict order pairs")
-            for a, b in sorted(r.pairs, key=_pair_key):
+            for a, b in sorted(r.pairs, key=atom_key):
                 print(f"  {atom_str(a)}  ~  {atom_str(b)}")
         if len(results) == 2:
             a, b = results.values()

@@ -69,9 +69,6 @@ class FinSet:
         return "FinSet({" + ", ".join(atom_str(a) for a in self.elements) + "})"
 
 
-EMPTY = FinSet(())
-
-
 class FinFun:
     """A total function between finite sets, given by its graph."""
 
@@ -300,37 +297,10 @@ class Rel:
         return Rel(a, b, {(x, y) for x in a for y in b})
 
 
-# Structural isomorphisms of the cartesian product, shared by every
-# law checker.  The unit object is a fixed one-element set.
+# The unit object of the cartesian product is a fixed one-element set.
 
 UNIT_ATOM = "*"
 UNIT = FinSet([UNIT_ATOM])
-
-
-def assoc(a: FinSet, b: FinSet, c: FinSet) -> FinFun:
-    """((x,y),z) -> (x,(y,z))"""
-    dom = product_set(product_set(a, b), c)
-    cod = product_set(a, product_set(b, c))
-    return FinFun(dom, cod, {((x, y), z): (x, (y, z)) for ((x, y), z) in dom})
-
-
-def left_unit(a: FinSet) -> FinFun:
-    """(*, x) -> x"""
-    dom = product_set(UNIT, a)
-    return FinFun(dom, a, {p: p[1] for p in dom})
-
-
-def right_unit(a: FinSet) -> FinFun:
-    """(x, *) -> x"""
-    dom = product_set(a, UNIT)
-    return FinFun(dom, a, {p: p[0] for p in dom})
-
-
-def swap(a: FinSet, b: FinSet) -> FinFun:
-    """(x, y) -> (y, x)"""
-    dom = product_set(a, b)
-    cod = product_set(b, a)
-    return FinFun(dom, cod, {(x, y): (y, x) for (x, y) in dom})
 
 
 def subsets(xs):

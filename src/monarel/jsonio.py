@@ -87,6 +87,7 @@ def load_fraction(s) -> Fraction:
 def load_ratdist(obj, carrier: FinSet = None) -> RatDist:
     _require(isinstance(obj, dict), "a distribution must be an object")
     _require("weights" in obj, "distribution needs a 'weights' field")
+    _require(isinstance(obj["weights"], dict), "'weights' must be an object")
     mode = obj.get("mode", "probability")
     weights = {x: load_fraction(w) for x, w in obj["weights"].items()}
     return RatDist(weights, mode, carrier)
@@ -115,10 +116,12 @@ def load_lts(obj) -> LTS:
     for key in ("states", "labels", "step"):
         _require(key in obj, f"transition system needs a {key!r} field")
     states, labels = _step_carriers(obj)
+    _require(isinstance(obj["step"], dict), "'step' must be an object")
     step = {}
     for key, succs in obj["step"].items():
         s, l = _split_step_key(key, states, labels)
-        _require(isinstance(succs, list), f"successors of {key!r} must be an array")
+        _require(isinstance(succs, list) and all(isinstance(x, str) for x in succs),
+                 f"successors of {key!r} must be an array of strings")
         step[(s, l)] = frozenset(succs)
     return LTS(states, labels, step)
 
@@ -129,6 +132,7 @@ def load_plts(obj) -> PLTS:
         _require(key in obj, f"transition system needs a {key!r} field")
     states, labels = _step_carriers(obj)
     mode = obj.get("mode", "probability")
+    _require(isinstance(obj["step"], dict), "'step' must be an object")
     step = {}
     for key, dist in obj["step"].items():
         s, l = _split_step_key(key, states, labels)

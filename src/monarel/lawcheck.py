@@ -1,21 +1,25 @@
 """Diagram checkers: monad, strength, mediator, commutativity,
 cartesianness, and the monad-morphism compatibility squares.
 
-Each checker walks a case grid and compares two composites built from a
-monad's value-level operations.  Enumerable monads are checked
-exhaustively as long as the carrier stays small (levels above the size
-cap fall back to seeded sampling); distribution monads are checked on
-corner cases plus seeded random rational samples.  All structural maps
-(associativity, unitors, symmetry, projections) act on pair atoms the
-same way in every category, so one implementation serves Set and Ord.
+Each checker is a generator of (diagram, input, lhs, rhs) cases over a
+grid of carriers; one driver, _law, runs them all, stops at the first
+case whose two composites differ, and rejects a grid that yields no
+case at all rather than reporting a vacuous pass.  Enumerable monads
+are checked exhaustively as long as the carrier stays small (levels
+above the size cap fall back to seeded sampling); distribution monads
+are checked on corner cases plus seeded random rational samples.  All
+structural maps (associativity, unitors, symmetry, projections) act on
+pair atoms the same way in every category, so one implementation
+serves Set and Ord.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
-from .finset import UNIT, UNIT_ATOM, FinSet, product_set
+from .finset import UNIT_ATOM, FinSet, product_set
 from .monads import MonadInstance, corner_dists, random_dist
 
 
@@ -43,9 +47,6 @@ class SetCategory:
     """Finite sets with the cartesian product; the default case grid."""
 
     name = "set"
-
-    def terminal(self):
-        return UNIT
 
     def product(self, a, b):
         return product_set(a, b)
@@ -85,29 +86,6 @@ def _runit(p):
     return p[0]
 
 
-class _Stop(Exception):
-    pass
-
-
-class _Run:
-    """Accumulates case counts and the first counterexample."""
-
-    def __init__(self, law, seed=None):
-        self.law = law
-        self.seed = seed
-        self.cases = 0
-        self.cex = None
-
-    def check(self, diagram, inp, lhs, rhs):
-        self.cases += 1
-        if lhs != rhs:
-            self.cex = {"diagram": diagram, "input": inp, "lhs": lhs, "rhs": rhs}
-            raise _Stop
-
-    def report(self):
-        return LawReport(self.law, self.cex is None, self.cases, self.cex, self.seed)
-
-
 def _dist_value(t: MonadInstance, rng, carrier, level):
     if level == 1:
         return random_dist(rng, carrier, t.mode)
@@ -143,10 +121,6 @@ def _tobj(t: MonadInstance, obj):
     return t.apply(obj) if t.enumerable else None
 
 
-def _pairs_grid(sets):
-    return [(a, b) for a in sets for b in sets]
-
-
 def _sample_budget(t: MonadInstance, samples, combos):
     # exhaustive monads only sample above the size cap; keep those runs short
     if t.enumerable:
@@ -154,206 +128,167 @@ def _sample_budget(t: MonadInstance, samples, combos):
     return max(1, samples // max(combos, 1))
 
 
-def check_monad_laws(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,
-                     category=SET) -> LawReport:
+def _law(name, default_size, budget_exponent):
+    """Make a case generator into a law checker.
+
+    The checker takes the grid (default: category.default_sets(
+    default_size)), seeds the RNG, and splits the sample budget over
+    len(grid) ** budget_exponent carrier combinations.  The generator
+    gets (t, sets, category, rng, per, **kw) and yields its cases
+    lazily, so a run that stops at a counterexample draws no further
+    samples.  A grid that yields no case is an input error.
+    """
+    def decorate(cases):
+        def check(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,
+                  category=SET, **kw) -> LawReport:
+            rng = random.Random(seed)
+            sets = (sample_sets if sample_sets is not None
+                    else category.default_sets(default_size))
+            per = _sample_budget(t, samples, len(sets) ** budget_exponent)
+            n = 0
+            for diagram, inp, lhs, rhs in cases(t, sets, category, rng, per, **kw):
+                n += 1
+                if lhs != rhs:
+                    cex = {"diagram": diagram, "input": inp, "lhs": lhs, "rhs": rhs}
+                    return LawReport(name, False, n, cex, seed)
+            if n == 0:
+                raise ValueError(f"{name}: the grid yields no cases")
+            return LawReport(name, True, n, None, seed)
+
+        check.__name__ = check.__qualname__ = cases.__name__
+        check.__doc__ = cases.__doc__
+        return check
+
+    return decorate
+
+
+def _collapse(t, op, v, tp, prod):
+    """mult . T(op) at v, for a binary op into T(prod); tp is T(prod)."""
+    return t.v_mult(t.v_map(lambda p: op(p[0], p[1]), v, tp), prod)
+
+
+@_law("monad-laws", 3, 1)
+def check_monad_laws(t, sets, category, rng, per):
     """Left unit, right unit, and associativity of unit/mult."""
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets()
-    run = _Run("monad-laws", seed)
-    per = _sample_budget(t, samples, len(sets))
-    try:
-        for a in sets:
-            ta = _tobj(t, a)
-            for v in _values(t, rng, a, 1, per):
-                run.check("mult-unit", v, t.v_mult(t.v_unit(v), a), v)
-                run.check(
-                    "mult-map-unit", v,
-                    t.v_mult(t.v_map(t.v_unit, v, ta), a), v,
-                )
-            for vvv in _values(t, rng, a, 3, per):
-                lhs = t.v_mult(t.v_mult(vvv, ta), a)
-                rhs = t.v_mult(t.v_map(lambda vv: t.v_mult(vv, a), vvv, ta), a)
-                run.check("mult-assoc", vvv, lhs, rhs)
-    except _Stop:
-        pass
-    return run.report()
+    for a in sets:
+        ta = _tobj(t, a)
+        for v in _values(t, rng, a, 1, per):
+            yield "mult-unit", v, t.v_mult(t.v_unit(v), a), v
+            yield "mult-map-unit", v, t.v_mult(t.v_map(t.v_unit, v, ta), a), v
+        for vvv in _values(t, rng, a, 3, per):
+            lhs = t.v_mult(t.v_mult(vvv, ta), a)
+            rhs = t.v_mult(t.v_map(lambda vv: t.v_mult(vv, a), vvv, ta), a)
+            yield "mult-assoc", vvv, lhs, rhs
 
 
-def check_strength_laws(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,
-                        category=SET) -> LawReport:
+@_law("strength-laws", 2, 2)
+def check_strength_laws(t, sets, category, rng, per):
     """The four strength diagrams over the canonical product structure."""
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets(2)
-    run = _Run("strength-laws", seed)
-    per = _sample_budget(t, samples, len(sets) ** 2)
-    try:
-        for b in sets:
-            for beta in _values(t, rng, b, 1, per):
-                lhs = t.v_map(_lunit, t.v_strength(UNIT_ATOM, beta), b)
-                run.check("strength-lunit", beta, lhs, beta)
-        for a in sets:
-            for b in sets:
-                for x in a:
-                    for y in b:
-                        run.check(
-                            "strength-unit", (x, y),
-                            t.v_strength(x, t.v_unit(y)),
-                            t.v_unit((x, y)),
-                        )
-        for a in sets:
-            for b in sets:
-                for c in sets:
-                    prod_bc = category.product(b, c)
-                    cod = category.product(a, prod_bc)
-                    for x in a:
-                        for y in b:
-                            for gamma in _values(t, rng, c, 1, max(1, per // 4)):
-                                lhs = t.v_map(_assoc, t.v_strength((x, y), gamma), cod)
-                                rhs = t.v_strength(x, t.v_strength(y, gamma))
-                                run.check("strength-assoc", ((x, y), gamma), lhs, rhs)
-        for a in sets:
-            for b in sets:
-                prod_ab = category.product(a, b)
-                tp = _tobj(t, prod_ab)
-                for x in a:
-                    for bb in _values(t, rng, b, 2, per):
-                        lhs = t.v_mult(
-                            t.v_map(lambda p: t.v_strength(p[0], p[1]),
-                                    t.v_strength(x, bb), tp),
-                            prod_ab,
-                        )
-                        rhs = t.v_strength(x, t.v_mult(bb, b))
-                        run.check("strength-mult", (x, bb), lhs, rhs)
-    except _Stop:
-        pass
-    return run.report()
+    for b in sets:
+        for beta in _values(t, rng, b, 1, per):
+            lhs = t.v_map(_lunit, t.v_strength(UNIT_ATOM, beta), b)
+            yield "strength-lunit", beta, lhs, beta
+    for a, b in product(sets, repeat=2):
+        for x, y in product(a, b):
+            yield ("strength-unit", (x, y),
+                   t.v_strength(x, t.v_unit(y)), t.v_unit((x, y)))
+    for a, b, c in product(sets, repeat=3):
+        cod = category.product(a, category.product(b, c))
+        for x, y in product(a, b):
+            for gamma in _values(t, rng, c, 1, max(1, per // 4)):
+                lhs = t.v_map(_assoc, t.v_strength((x, y), gamma), cod)
+                rhs = t.v_strength(x, t.v_strength(y, gamma))
+                yield "strength-assoc", ((x, y), gamma), lhs, rhs
+    for a, b in product(sets, repeat=2):
+        prod_ab = category.product(a, b)
+        tp = _tobj(t, prod_ab)
+        for x in a:
+            for bb in _values(t, rng, b, 2, per):
+                lhs = _collapse(t, t.v_strength, t.v_strength(x, bb), tp, prod_ab)
+                rhs = t.v_strength(x, t.v_mult(bb, b))
+                yield "strength-mult", (x, bb), lhs, rhs
 
 
-def check_mediator_laws(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,
-                        category=SET) -> LawReport:
+@_law("mediator-laws", 2, 2)
+def check_mediator_laws(t, sets, category, rng, per):
     """The five mediator diagrams."""
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets(2)
-    run = _Run("mediator-laws", seed)
-    per = _sample_budget(t, samples, len(sets) ** 2)
     unit_dirac = t.v_unit(UNIT_ATOM)
-    try:
-        for b in sets:
-            for beta in _values(t, rng, b, 1, per):
-                lhs = t.v_map(_lunit, t.v_mediator(unit_dirac, beta), b)
-                run.check("mediator-lunit", beta, lhs, beta)
-                rhs = t.v_map(_runit, t.v_mediator(beta, unit_dirac), b)
-                run.check("mediator-runit", beta, rhs, beta)
-        for a in sets:
-            for b in sets:
-                for x in a:
-                    for y in b:
-                        run.check(
-                            "mediator-unit", (x, y),
-                            t.v_mediator(t.v_unit(x), t.v_unit(y)),
-                            t.v_unit((x, y)),
-                        )
-        for a in sets:
-            for b in sets:
-                for c in sets:
-                    cod = category.product(a, category.product(b, c))
-                    per3 = max(1, per // 4)
-                    for alpha in _values(t, rng, a, 1, per3):
-                        for beta in _values(t, rng, b, 1, per3):
-                            for gamma in _values(t, rng, c, 1, per3):
-                                lhs = t.v_map(
-                                    _assoc,
-                                    t.v_mediator(t.v_mediator(alpha, beta), gamma),
-                                    cod,
-                                )
-                                rhs = t.v_mediator(alpha, t.v_mediator(beta, gamma))
-                                run.check("mediator-assoc", (alpha, beta, gamma), lhs, rhs)
-        for a in sets:
-            for b in sets:
-                prod_ab = category.product(a, b)
-                tp = _tobj(t, prod_ab)
-                for aa in _values(t, rng, a, 2, per):
-                    for bb in _values(t, rng, b, 2, per):
-                        lhs = t.v_mult(
-                            t.v_map(lambda p: t.v_mediator(p[0], p[1]),
-                                    t.v_mediator(aa, bb), tp),
-                            prod_ab,
-                        )
-                        rhs = t.v_mediator(t.v_mult(aa, a), t.v_mult(bb, b))
-                        run.check("mediator-mult", (aa, bb), lhs, rhs)
-    except _Stop:
-        pass
-    return run.report()
+    for b in sets:
+        for beta in _values(t, rng, b, 1, per):
+            lhs = t.v_map(_lunit, t.v_mediator(unit_dirac, beta), b)
+            yield "mediator-lunit", beta, lhs, beta
+            rhs = t.v_map(_runit, t.v_mediator(beta, unit_dirac), b)
+            yield "mediator-runit", beta, rhs, beta
+    for a, b in product(sets, repeat=2):
+        for x, y in product(a, b):
+            yield ("mediator-unit", (x, y),
+                   t.v_mediator(t.v_unit(x), t.v_unit(y)), t.v_unit((x, y)))
+    per3 = max(1, per // 4)
+    for a, b, c in product(sets, repeat=3):
+        cod = category.product(a, category.product(b, c))
+        for alpha in _values(t, rng, a, 1, per3):
+            for beta in _values(t, rng, b, 1, per3):
+                for gamma in _values(t, rng, c, 1, per3):
+                    lhs = t.v_map(
+                        _assoc, t.v_mediator(t.v_mediator(alpha, beta), gamma), cod)
+                    rhs = t.v_mediator(alpha, t.v_mediator(beta, gamma))
+                    yield "mediator-assoc", (alpha, beta, gamma), lhs, rhs
+    for a, b in product(sets, repeat=2):
+        prod_ab = category.product(a, b)
+        tp = _tobj(t, prod_ab)
+        for aa in _values(t, rng, a, 2, per):
+            for bb in _values(t, rng, b, 2, per):
+                lhs = _collapse(t, t.v_mediator, t.v_mediator(aa, bb), tp, prod_ab)
+                rhs = t.v_mediator(t.v_mult(aa, a), t.v_mult(bb, b))
+                yield "mediator-mult", (aa, bb), lhs, rhs
 
 
-def check_commutative(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,
-                      category=SET) -> LawReport:
+@_law("commutativity", 2, 2)
+def check_commutative(t, sets, category, rng, per):
     """Mediator versus the symmetry: d . c == T(c) . d."""
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets(2)
-    run = _Run("commutativity", seed)
-    per = _sample_budget(t, samples, len(sets) ** 2)
-    try:
-        for a in sets:
-            for b in sets:
-                cod = category.product(b, a)
-                for alpha in _values(t, rng, a, 1, per):
-                    for beta in _values(t, rng, b, 1, per):
-                        lhs = t.v_mediator(beta, alpha)
-                        rhs = t.v_map(_swap, t.v_mediator(alpha, beta), cod)
-                        run.check("mediator-symmetry", (alpha, beta), lhs, rhs)
-    except _Stop:
-        pass
-    return run.report()
+    for a, b in product(sets, repeat=2):
+        cod = category.product(b, a)
+        for alpha in _values(t, rng, a, 1, per):
+            for beta in _values(t, rng, b, 1, per):
+                lhs = t.v_mediator(beta, alpha)
+                rhs = t.v_map(_swap, t.v_mediator(alpha, beta), cod)
+                yield "mediator-symmetry", (alpha, beta), lhs, rhs
 
 
-def check_cartesian(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,
-                    category=SET) -> LawReport:
+@_law("cartesianness", 2, 2)
+def check_cartesian(t, sets, category, rng, per):
     """Projections of the mediator: T(fst) . d == fst and T(snd) . d == snd.
 
     The first projection equation is scanned over the whole grid before
     the second, so the canonical counterexample for the full powerset is
     a pair whose second component is the empty set.
     """
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets(2)
-    run = _Run("cartesianness", seed)
-    per = _sample_budget(t, samples, len(sets) ** 2)
     grids = []
-    for a in sets:
-        for b in sets:
-            pairs = [
-                (alpha, beta)
-                for alpha in _values(t, rng, a, 1, per)
-                for beta in _values(t, rng, b, 1, per)
-            ]
-            grids.append((a, b, pairs))
-    try:
-        for a, b, pairs in grids:
-            for alpha, beta in pairs:
-                lhs = t.v_map(_fst, t.v_mediator(alpha, beta), a)
-                run.check("cartesian-fst", (alpha, beta), lhs, alpha)
-        for a, b, pairs in grids:
-            for alpha, beta in pairs:
-                lhs = t.v_map(_snd, t.v_mediator(alpha, beta), b)
-                run.check("cartesian-snd", (alpha, beta), lhs, beta)
-    except _Stop:
-        pass
-    return run.report()
+    for a, b in product(sets, repeat=2):
+        pairs = [
+            (alpha, beta)
+            for alpha in _values(t, rng, a, 1, per)
+            for beta in _values(t, rng, b, 1, per)
+        ]
+        grids.append((a, b, pairs))
+    for a, b, pairs in grids:
+        for alpha, beta in pairs:
+            lhs = t.v_map(_fst, t.v_mediator(alpha, beta), a)
+            yield "cartesian-fst", (alpha, beta), lhs, alpha
+    for a, b, pairs in grids:
+        for alpha, beta in pairs:
+            lhs = t.v_map(_snd, t.v_mediator(alpha, beta), b)
+            yield "cartesian-snd", (alpha, beta), lhs, beta
 
 
-def check_derived_strengths(t: MonadInstance, sample_sets=None, *, samples=500,
-                            seed=7, category=SET) -> LawReport:
+@_law("derived-strengths", 2, 2)
+def check_derived_strengths(t, sets, category, rng, per):
     """Strength and dual strength built from the mediator.
 
     With st(x, beta) = d(unit x, beta) and st'(alpha, y) = d(alpha, unit y),
     both mult-collapsed composites over TA x TB must equal the mediator
     itself, and the two strengths must commute with associativity.
     """
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets(2)
-    run = _Run("derived-strengths", seed)
-    per = _sample_budget(t, samples, len(sets) ** 2)
 
     def st(x, beta):
         return t.v_mediator(t.v_unit(x), beta)
@@ -361,42 +296,25 @@ def check_derived_strengths(t: MonadInstance, sample_sets=None, *, samples=500,
     def st_dual(alpha, y):
         return t.v_mediator(alpha, t.v_unit(y))
 
-    try:
-        for a in sets:
-            for b in sets:
-                prod_ab = category.product(a, b)
-                tp = _tobj(t, prod_ab)
-                for alpha in _values(t, rng, a, 1, per):
-                    for beta in _values(t, rng, b, 1, per):
-                        d = t.v_mediator(alpha, beta)
-                        via_st = t.v_mult(
-                            t.v_map(lambda p: st_dual(p[0], p[1]),
-                                    st(alpha, beta), tp),
-                            prod_ab,
-                        )
-                        run.check("strength-then-dual", (alpha, beta), via_st, d)
-                        via_dual = t.v_mult(
-                            t.v_map(lambda p: st(p[0], p[1]),
-                                    st_dual(alpha, beta), tp),
-                            prod_ab,
-                        )
-                        run.check("dual-then-strength", (alpha, beta), via_dual, d)
-        for a in sets:
-            for b in sets:
-                for c in sets:
-                    cod = category.product(a, category.product(b, c))
-                    per3 = max(1, per // 4)
-                    for x in a:
-                        for beta in _values(t, rng, b, 1, per3):
-                            for z in c:
-                                lhs = t.v_map(
-                                    _assoc, st_dual(st(x, beta), z), cod)
-                                rhs = st(x, st_dual(beta, z))
-                                run.check(
-                                    "strengths-assoc", (x, beta, z), lhs, rhs)
-    except _Stop:
-        pass
-    return run.report()
+    for a, b in product(sets, repeat=2):
+        prod_ab = category.product(a, b)
+        tp = _tobj(t, prod_ab)
+        for alpha in _values(t, rng, a, 1, per):
+            for beta in _values(t, rng, b, 1, per):
+                d = t.v_mediator(alpha, beta)
+                via_st = _collapse(t, st_dual, st(alpha, beta), tp, prod_ab)
+                yield "strength-then-dual", (alpha, beta), via_st, d
+                via_dual = _collapse(t, st, st_dual(alpha, beta), tp, prod_ab)
+                yield "dual-then-strength", (alpha, beta), via_dual, d
+    per3 = max(1, per // 4)
+    for a, b, c in product(sets, repeat=3):
+        cod = category.product(a, category.product(b, c))
+        for x in a:
+            for beta in _values(t, rng, b, 1, per3):
+                for z in c:
+                    lhs = t.v_map(_assoc, st_dual(st(x, beta), z), cod)
+                    rhs = st(x, st_dual(beta, z))
+                    yield "strengths-assoc", (x, beta, z), lhs, rhs
 
 
 def product_delta(t: MonadInstance, v, left_obj=None, right_obj=None):
@@ -405,39 +323,24 @@ def product_delta(t: MonadInstance, v, left_obj=None, right_obj=None):
     return (t.v_map(_fst, v, left_obj), t.v_map(_snd, v, right_obj))
 
 
-def check_monad_morphism(t: MonadInstance, sample_sets=None, *, delta=None,
-                         samples=500, seed=7, category=SET) -> LawReport:
+@_law("monad-morphism", 2, 2)
+def check_monad_morphism(t, sets, category, rng, per, delta=None):
     """Unit and mult compatibility of the projection pair delta."""
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets(2)
     delta = delta if delta is not None else product_delta
-    run = _Run("monad-morphism", seed)
-    grid = _pairs_grid(sets)
-    per = _sample_budget(t, samples, len(grid))
-    try:
-        for a1, a2 in grid:
-            p = category.product(a1, a2)
-            ta1, ta2 = _tobj(t, a1), _tobj(t, a2)
-            for x in a1:
-                for y in a2:
-                    run.check(
-                        "morphism-unit", (x, y),
-                        delta(t, t.v_unit((x, y)), a1, a2),
-                        (t.v_unit(x), t.v_unit(y)),
-                    )
-            tpair = None
-            if t.enumerable:
-                tpair = category.product(ta1, ta2)
-            for vv in _values(t, rng, p, 2, per, cap=8):
-                lhs = delta(t, t.v_mult(vv, p), a1, a2)
-                w = t.v_map(lambda v: delta(t, v, a1, a2), vv, tpair)
-                w1 = t.v_map(_fst, w, ta1)
-                w2 = t.v_map(_snd, w, ta2)
-                rhs = (t.v_mult(w1, a1), t.v_mult(w2, a2))
-                run.check("morphism-mult", vv, lhs, rhs)
-    except _Stop:
-        pass
-    return run.report()
+    for a1, a2 in product(sets, repeat=2):
+        p = category.product(a1, a2)
+        ta1, ta2 = _tobj(t, a1), _tobj(t, a2)
+        for x, y in product(a1, a2):
+            yield ("morphism-unit", (x, y),
+                   delta(t, t.v_unit((x, y)), a1, a2), (t.v_unit(x), t.v_unit(y)))
+        tpair = category.product(ta1, ta2) if t.enumerable else None
+        for vv in _values(t, rng, p, 2, per, cap=8):
+            lhs = delta(t, t.v_mult(vv, p), a1, a2)
+            w = t.v_map(lambda v: delta(t, v, a1, a2), vv, tpair)
+            w1 = t.v_map(_fst, w, ta1)
+            w2 = t.v_map(_snd, w, ta2)
+            rhs = (t.v_mult(w1, a1), t.v_mult(w2, a2))
+            yield "morphism-mult", vv, lhs, rhs
 
 
 def _theta(p):
@@ -446,71 +349,39 @@ def _theta(p):
     return ((x1, y1), (x2, y2))
 
 
-def check_strong_morphism(t: MonadInstance, sample_sets=None, *, delta=None,
-                          samples=500, seed=7, category=SET) -> LawReport:
+@_law("strong-morphism", 2, 4)
+def check_strong_morphism(t, sets, category, rng, per, delta=None):
     """Strength compatibility square for the projection pair."""
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets(2)
     delta = delta if delta is not None else product_delta
-    run = _Run("strong-morphism", seed)
-    grid = _pairs_grid(sets)
-    per = _sample_budget(t, samples, len(grid) ** 2)
-    try:
-        for a1, a2 in grid:
-            for b1, b2 in grid:
-                pb = category.product(b1, b2)
-                cod = category.product(
-                    category.product(a1, b1), category.product(a2, b2))
-                for x1 in a1:
-                    for x2 in a2:
-                        for w in _values(t, rng, pb, 1, per):
-                            lhs = delta(
-                                t,
-                                t.v_map(_theta, t.v_strength((x1, x2), w), cod),
-                                category.product(a1, b1),
-                                category.product(a2, b2),
-                            )
-                            w1, w2 = delta(t, w, b1, b2)
-                            rhs = (t.v_strength(x1, w1), t.v_strength(x2, w2))
-                            run.check(
-                                "strong-morphism-square",
-                                ((x1, x2), w), lhs, rhs)
-    except _Stop:
-        pass
-    return run.report()
+    for a1, a2, b1, b2 in product(sets, repeat=4):
+        pb = category.product(b1, b2)
+        ab1, ab2 = category.product(a1, b1), category.product(a2, b2)
+        cod = category.product(ab1, ab2)
+        for x1, x2 in product(a1, a2):
+            for w in _values(t, rng, pb, 1, per):
+                lhs = delta(t, t.v_map(_theta, t.v_strength((x1, x2), w), cod),
+                            ab1, ab2)
+                w1, w2 = delta(t, w, b1, b2)
+                rhs = (t.v_strength(x1, w1), t.v_strength(x2, w2))
+                yield "strong-morphism-square", ((x1, x2), w), lhs, rhs
 
 
-def check_monoidal_morphism(t: MonadInstance, sample_sets=None, *, delta=None,
-                            samples=500, seed=7, category=SET) -> LawReport:
+@_law("monoidal-morphism", 2, 4)
+def check_monoidal_morphism(t, sets, category, rng, per, delta=None):
     """Mediator compatibility square for the projection pair."""
-    rng = random.Random(seed)
-    sets = sample_sets if sample_sets is not None else category.default_sets(2)
     delta = delta if delta is not None else product_delta
-    run = _Run("monoidal-morphism", seed)
-    grid = _pairs_grid(sets)
-    per = _sample_budget(t, samples, len(grid) ** 2)
-    try:
-        for a1, a2 in grid:
-            for b1, b2 in grid:
-                pa = category.product(a1, a2)
-                pb = category.product(b1, b2)
-                cod = category.product(
-                    category.product(a1, b1), category.product(a2, b2))
-                for v in _values(t, rng, pa, 1, per):
-                    for w in _values(t, rng, pb, 1, per):
-                        lhs = delta(
-                            t,
-                            t.v_map(_theta, t.v_mediator(v, w), cod),
-                            category.product(a1, b1),
-                            category.product(a2, b2),
-                        )
-                        v1, v2 = delta(t, v, a1, a2)
-                        w1, w2 = delta(t, w, b1, b2)
-                        rhs = (t.v_mediator(v1, w1), t.v_mediator(v2, w2))
-                        run.check("monoidal-morphism-square", (v, w), lhs, rhs)
-    except _Stop:
-        pass
-    return run.report()
+    for a1, a2, b1, b2 in product(sets, repeat=4):
+        pa = category.product(a1, a2)
+        pb = category.product(b1, b2)
+        ab1, ab2 = category.product(a1, b1), category.product(a2, b2)
+        cod = category.product(ab1, ab2)
+        for v in _values(t, rng, pa, 1, per):
+            for w in _values(t, rng, pb, 1, per):
+                lhs = delta(t, t.v_map(_theta, t.v_mediator(v, w), cod), ab1, ab2)
+                v1, v2 = delta(t, v, a1, a2)
+                w1, w2 = delta(t, w, b1, b2)
+                rhs = (t.v_mediator(v1, w1), t.v_mediator(v2, w2))
+                yield "monoidal-morphism-square", (v, w), lhs, rhs
 
 
 def standard_battery(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,

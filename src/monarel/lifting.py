@@ -391,8 +391,8 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
     if t.enumerable:
         lifted = lift_enumerate(t, s)
         lifted_pairs = sorted(lifted.pairs, key=atom_key)
-        ta1 = t.apply(s.left)
-        ta2 = t.apply(s.right)
+        tta1 = t.apply(t.apply(s.left))
+        tta2 = t.apply(t.apply(s.right))
         if len(lifted_pairs) <= 16:
             candidates = subsets(lifted_pairs)
         else:
@@ -404,7 +404,7 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
         for r in candidates:
             xi1 = frozenset(p[0] for p in r)
             xi2 = frozenset(p[1] for p in r)
-            if xi1 not in ta1 or xi2 not in ta2:
+            if xi1 not in tta1 or xi2 not in tta2:
                 continue  # nonempty-powerset: the empty sub-relation is not a value
             if (xi1, xi2) in seen:
                 continue

@@ -1,16 +1,16 @@
 """Finitary monads packaged with their strengths and mediators.
 
 Three constructors are provided: the full and the nonempty finite
-powerset (enumerable, so every operation also exists as a tabulated
-function on carriers) and finitely supported rational distributions
-(probability or subprobability, value-level only).
+powerset (enumerable, so T also acts on whole carriers) and finitely
+supported rational distributions (probability or subprobability,
+value-level only).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .finset import FinFun, FinSet, atom_key, atom_str, product_set, subsets
+from .finset import FinSet, atom_key, atom_str, subsets
 
 MODES = ("probability", "subprobability")
 
@@ -110,8 +110,7 @@ class MonadInstance:
     The value-level operations (v_*) act on concrete values: frozensets
     for the powersets, RatDist for distributions, antichains for the
     ordered variant.  Enumerable instances additionally expose apply()
-    on carriers, from which tabulated FinFun versions of each operation
-    are derived.
+    on carriers.
     """
 
     def __init__(
@@ -177,26 +176,6 @@ class MonadInstance:
             raise ValueError(f"monad {self.name} has no value sampler")
         return self._sample(rng, a)
 
-    def map_fun(self, f: FinFun) -> FinFun:
-        return FinFun(self.apply(f.dom), self.apply(f.cod), lambda t: self.v_map(f, t, f.cod))
-
-    def unit_fun(self, a: FinSet) -> FinFun:
-        return FinFun(a, self.apply(a), self.v_unit)
-
-    def mult_fun(self, a: FinSet) -> FinFun:
-        ta = self.apply(a)
-        return FinFun(self.apply(ta), ta, lambda tt: self.v_mult(tt, a))
-
-    def strength_fun(self, a: FinSet, b: FinSet) -> FinFun:
-        dom = product_set(a, self.apply(b))
-        cod = self.apply(product_set(a, b))
-        return FinFun(dom, cod, lambda p: self.v_strength(p[0], p[1]))
-
-    def mediator_fun(self, a: FinSet, b: FinSet) -> FinFun:
-        dom = product_set(self.apply(a), self.apply(b))
-        cod = self.apply(product_set(a, b))
-        return FinFun(dom, cod, lambda p: self.v_mediator(p[0], p[1]))
-
 
 def _random_subset(rng, a, nonempty=False):
     elems = sorted(a, key=value_key)
@@ -206,33 +185,28 @@ def _random_subset(rng, a, nonempty=False):
     return frozenset(x for x in elems if rng.random() < 0.5)
 
 
-def powerset_monad() -> MonadInstance:
+def _powerset(name, nonempty) -> MonadInstance:
+    # the nonempty sets are closed under every operation, so both
+    # monads share them and differ only in carriers and samples
     return MonadInstance(
-        "powerset",
+        name,
         enumerable=True,
-        apply=lambda a: FinSet(subsets(a)),
-        sample=_random_subset,
+        apply=lambda a: FinSet(s for s in subsets(a) if s or not nonempty),
+        sample=lambda rng, a: _random_subset(rng, a, nonempty),
         unit=lambda x: frozenset([x]),
         map=lambda fn, t, cod: frozenset(fn(x) for x in t),
         mult=lambda tt, obj: frozenset(x for s in tt for x in s),
         strength=lambda x, t: frozenset((x, y) for y in t),
         mediator=lambda t, u: frozenset((x, y) for x in t for y in u),
     )
+
+
+def powerset_monad() -> MonadInstance:
+    return _powerset("powerset", nonempty=False)
 
 
 def nonempty_powerset_monad() -> MonadInstance:
-    # the same operations restricted to nonempty sets, which they preserve
-    return MonadInstance(
-        "nonempty-powerset",
-        enumerable=True,
-        apply=lambda a: FinSet(s for s in subsets(a) if s),
-        sample=lambda rng, a: _random_subset(rng, a, nonempty=True),
-        unit=lambda x: frozenset([x]),
-        map=lambda fn, t, cod: frozenset(fn(x) for x in t),
-        mult=lambda tt, obj: frozenset(x for s in tt for x in s),
-        strength=lambda x, t: frozenset((x, y) for y in t),
-        mediator=lambda t, u: frozenset((x, y) for x in t for y in u),
-    )
+    return _powerset("nonempty-powerset", nonempty=True)
 
 
 def dist_monad(mode: str = "probability") -> MonadInstance:

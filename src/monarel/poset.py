@@ -410,9 +410,6 @@ def lift_relation_ord(s: OrderedRel, system: str) -> OrderedRel:
 class OrdCategory:
     """Adapter so the diagram checkers run over posets."""
 
-    def terminal(self):
-        return ORD_UNIT
-
     def product(self, a, b):
         return ord_product(a, b)
 

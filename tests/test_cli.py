@@ -61,6 +61,17 @@ def test_check_laws_unknown_monad_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--monad", "powerset", "--max-size", "-1"),
+    ("--monad", "nonempty-powerset", "--max-size", "0"),
+    ("--monad", "dist", "--max-size", "0"),
+])
+def test_check_laws_without_cases_exits_2(capsys, argv):
+    code, out, err = run(capsys, "check-laws", *argv)
+    assert code == 2 and "error:" in err
+    assert "pass" not in out
+
+
 # ----------------------------------------------------------------- lift
 
 def test_lift_lists_related_values(capsys, j):
@@ -305,6 +316,28 @@ def test_bad_json_reports_location(capsys, tmp_path):
     code, _, err = run(capsys, "lift", "--monad", "powerset", "--S", str(p))
     assert code == 2
     assert "bad.json:1:" in err
+
+
+@pytest.mark.parametrize("command,files", [
+    ("max-bisim", {"--sys1": [], "--sys2": []}),
+    ("bisim", {"--sys1": {"states": ["a"], "labels": ["l"],
+                          "step": {"a|l": [["a"]]}},
+               "--sys2": {"states": ["a"], "labels": ["l"], "step": {}}}),
+    ("bisim", {"--sys1": {"states": ["a"], "labels": ["l"], "step": []},
+               "--sys2": {"states": ["a"], "labels": ["l"], "step": {}}}),
+    ("member", {"--S": STAIR,
+                "--nu1": {"weights": [["1", "1"]]},
+                "--nu2": {"weights": {"a": "1"}}}),
+])
+def test_malformed_input_shapes_exit_2(capsys, j, command, files):
+    argv = [command]
+    if command == "member":
+        argv += ["--monad", "dist"]
+    for flag, obj in files.items():
+        argv += [flag, j(flag.strip("-") + ".json", obj)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_exits_2(capsys):

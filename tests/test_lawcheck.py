@@ -178,3 +178,80 @@ def test_standard_battery_is_deterministic():
     two = [str(r) for r in standard_battery(powerset_monad(), SMALL,
                                             samples=50, seed=11)]
     assert one == two
+
+
+# (monad, checker, law, ok, cases) on SMALL with samples=16, seed=7; the
+# upper monad runs on the first three posets of ORD, and the powerset's
+# monad laws on |A| = 1 only (|A| = 2 walks 65,536 values)
+PINNED = [
+    ("powerset", check_monad_laws, "monad-laws", True, 20),
+    ("powerset", check_strength_laws, "strength-laws", True, 129),
+    ("powerset", check_mediator_laws, "mediator-laws", True, 637),
+    ("powerset", check_commutative, "commutativity", True, 36),
+    ("powerset", check_derived_strengths, "derived-strengths", True, 126),
+    ("powerset", check_monad_morphism, "monad-morphism", True, 53),
+    ("powerset", check_strong_morphism, "strong-morphism", True, 234),
+    ("powerset", check_monoidal_morphism, "monoidal-morphism", True, 676),
+    ("powerset", check_cartesian, "cartesianness", False, 3),
+    ("nonempty-powerset", check_monad_laws, "monad-laws", True, 136),
+    ("nonempty-powerset", check_strength_laws, "strength-laws", True, 73),
+    ("nonempty-powerset", check_mediator_laws, "mediator-laws", True, 145),
+    ("nonempty-powerset", check_commutative, "commutativity", True, 16),
+    ("nonempty-powerset", check_derived_strengths, "derived-strengths", True, 68),
+    ("nonempty-powerset", check_monad_morphism, "monad-morphism", True, 32),
+    ("nonempty-powerset", check_strong_morphism, "strong-morphism", True, 198),
+    ("nonempty-powerset", check_monoidal_morphism, "monoidal-morphism", True, 484),
+    ("nonempty-powerset", check_cartesian, "cartesianness", True, 32),
+    ("probability", check_monad_laws, "monad-laws", True, 58),
+    ("probability", check_strength_laws, "strength-laws", True, 118),
+    ("probability", check_mediator_laws, "mediator-laws", True, 499),
+    ("probability", check_commutative, "commutativity", True, 169),
+    ("probability", check_derived_strengths, "derived-strengths", True, 401),
+    ("probability", check_monad_morphism, "monad-morphism", True, 34),
+    ("probability", check_strong_morphism, "strong-morphism", True, 153),
+    ("probability", check_monoidal_morphism, "monoidal-morphism", True, 289),
+    ("probability", check_cartesian, "cartesianness", True, 338),
+    ("subprobability", check_monad_laws, "monad-laws", True, 68),
+    ("subprobability", check_strength_laws, "strength-laws", True, 168),
+    ("subprobability", check_mediator_laws, "mediator-laws", True, 1894),
+    ("subprobability", check_commutative, "commutativity", True, 324),
+    ("subprobability", check_derived_strengths, "derived-strengths", True, 756),
+    ("subprobability", check_monad_morphism, "monad-morphism", True, 34),
+    ("subprobability", check_strong_morphism, "strong-morphism", True, 270),
+    ("subprobability", check_monoidal_morphism, "monoidal-morphism", True, 900),
+    ("subprobability", check_cartesian, "cartesianness", False, 3),
+    ("upper", check_monad_laws, "monad-laws", True, 20),
+    ("upper", check_strength_laws, "strength-laws", True, 216),
+    ("upper", check_mediator_laws, "mediator-laws", True, 302),
+    ("upper", check_commutative, "commutativity", True, 36),
+    ("upper", check_derived_strengths, "derived-strengths", True, 222),
+    ("upper", check_monad_morphism, "monad-morphism", True, 88),
+    ("upper", check_strong_morphism, "strong-morphism", True, 1175),
+    ("upper", check_monoidal_morphism, "monoidal-morphism", True, 2209),
+    ("upper", check_cartesian, "cartesianness", True, 72),
+]
+
+
+@pytest.mark.parametrize("monad,checker,law,ok,cases", PINNED,
+                         ids=[f"{m}-{c.__name__}" for m, c, *_ in PINNED])
+def test_case_enumeration_is_pinned(monad, checker, law, ok, cases):
+    kw = {}
+    grid = SMALL
+    if monad == "powerset":
+        t = powerset_monad()
+        if checker is check_monad_laws:
+            grid = [FinSet(["a"])]
+    elif monad == "nonempty-powerset":
+        t = nonempty_powerset_monad()
+    elif monad == "upper":
+        t, grid, kw = upper_monad(), ORD.default_sets(2)[:3], {"category": ORD}
+    else:
+        t = dist_monad(monad)
+    r = checker(t, grid, samples=16, seed=7, **kw)
+    assert (r.law, r.ok, r.cases) == (law, ok, cases)
+    assert r.ok == (r.counterexample is None)
+
+
+def test_a_grid_without_cases_is_an_error():
+    with pytest.raises(ValueError, match="strong-morphism"):
+        check_strong_morphism(powerset_monad(), [FinSet([])])

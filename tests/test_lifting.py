@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from test_lawcheck import mutant_powerset
+
 from monarel import (FinSet, FinFun, RatDist, Rel, converse_coupling,
                      dist_monad, is_saturated, lift, lift_enumerate,
                      lift_member_dist, lift_member_dist_saturated,
@@ -305,6 +307,16 @@ def test_lifted_laws_hold_for_powerset_on_the_stair():
     assert lifted_unit_check(t, S_STAIR).ok
     assert lifted_mult_check(t, S_STAIR).ok
     assert lifted_strength_check(t, S_STAIR, S_STAIR).ok
+
+
+def test_lifted_mult_checks_real_cases_for_enumerable_monads():
+    # second-level values are filtered against T(T A), not T A
+    def lossy_mult(tt, obj):
+        return frozenset(sorted((x for s in tt for x in s), key=str)[1:])
+
+    r = lifted_mult_check(mutant_powerset(mult=lossy_mult), S_STAIR)
+    assert not r.ok and r.counterexample is not None
+    assert lifted_mult_check(nonempty_powerset_monad(), S_STAIR).cases > 0
 
 
 def test_lifted_laws_hold_for_dist_on_the_stair():
