@@ -6,15 +6,12 @@ logical relations, and probabilistic bisimulation."""
 from .finset import (
     UNIT,
     UNIT_ATOM,
-    Factorization,
     FinFun,
     FinSet,
     Rel,
     atom_key,
     atom_str,
     compose,
-    diagonal_fill_in,
-    factorize,
     identity,
     pair,
     product,
@@ -39,11 +36,9 @@ from .lawcheck import (
 )
 from .lifting import (
     CouplingResult,
-    LiftedRel,
     MorphismCheck,
     converse_coupling,
     is_saturated,
-    lift,
     lift_enumerate,
     lift_member_dist,
     lift_member_dist_saturated,

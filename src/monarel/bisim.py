@@ -2,20 +2,20 @@
 
 Nondeterministic systems step into subsets and are compared through
 Egli-Milner lifting; probabilistic systems step into rational
-distributions and are compared through coupling feasibility.  The
-class-mass formulation over the disjoint union of the state spaces
-(Larsen-Skou) is implemented directly so the two views can be played
-against each other.
+distributions and are compared through coupling feasibility.  Each
+system carries the monad it steps in, and that monad decides the
+lifted relation.  The class-mass formulation over the disjoint union of
+the state spaces (Larsen-Skou) is implemented directly so the two views
+can be played against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .finset import FinSet, Rel, atom_key
-from .lifting import lift_member_dist, lift_member_powerset
-from .monads import MODES, RatDist
+from .lifting import CouplingResult
+from .monads import RatDist, dist_monad, powerset_monad
 
 
 class LTS:
@@ -26,6 +26,7 @@ class LTS:
     """
 
     def __init__(self, states, labels, step):
+        self.monad = powerset_monad()
         self.states = states if isinstance(states, FinSet) else FinSet(states)
         self.labels = labels if isinstance(labels, FinSet) else FinSet(labels)
         table = {}
@@ -58,8 +59,7 @@ class PLTS:
     """
 
     def __init__(self, states, labels, step, mode="probability"):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+        self.monad = dist_monad(mode)
         self.states = states if isinstance(states, FinSet) else FinSet(states)
         self.labels = labels if isinstance(labels, FinSet) else FinSet(labels)
         self.mode = mode
@@ -106,84 +106,68 @@ class BisimResult:
         return self.ok
 
 
-def _check_frames(s: Rel, f1, f2, rl: Rel):
+def _same_monad(f1, f2):
+    if f1.monad.name != f2.monad.name:
+        raise ValueError(
+            f"systems step in different monads: {f1.monad.name} vs {f2.monad.name}")
+
+
+def _check(s: Rel, f1, f2, rl: Rel) -> BisimResult:
+    """Related states take related-label steps into values related by
+    the lifting of S through the systems' monad."""
+    _same_monad(f1, f2)
     if s.left != f1.states or s.right != f2.states:
         raise ValueError("relation carriers do not match the state spaces")
     if rl.left != f1.labels or rl.right != f2.labels:
         raise ValueError("label relation does not match the label sets")
+    for a1, a2 in sorted(s.pairs, key=atom_key):
+        for l1, l2 in sorted(rl.pairs, key=atom_key):
+            succ = (f1.step(a1, l1), f2.step(a2, l2))
+            got = f1.monad.related(*succ, s)
+            if not got:
+                cex = {"pair": (a1, a2), "labels": (l1, l2), "succ": succ}
+                if isinstance(got, CouplingResult):
+                    cex["violated"] = got.violated
+                return BisimResult(False, cex)
+    return BisimResult(True)
 
 
 def check_bisimulation(s: Rel, f1: LTS, f2: LTS, rl: Rel) -> BisimResult:
     """S is a strong bisimulation: related states take related-label
     steps into Egli-Milner-related successor sets."""
-    _check_frames(s, f1, f2, rl)
-    for a1, a2 in sorted(s.pairs, key=atom_key):
-        for l1, l2 in sorted(rl.pairs, key=atom_key):
-            if not lift_member_powerset(f1.step(a1, l1), f2.step(a2, l2), s):
-                return BisimResult(False, {
-                    "pair": (a1, a2), "labels": (l1, l2),
-                    "succ": (f1.step(a1, l1), f2.step(a2, l2))})
-    return BisimResult(True)
+    return _check(s, f1, f2, rl)
 
 
 def check_prob_bisimulation(s: Rel, f1: PLTS, f2: PLTS, rl: Rel) -> BisimResult:
     """S is a probabilistic bisimulation: related states take
     related-label steps into couplable distributions."""
-    if f1.mode != f2.mode:
-        raise ValueError(f"mode mismatch: {f1.mode} vs {f2.mode}")
-    _check_frames(s, f1, f2, rl)
-    for a1, a2 in sorted(s.pairs, key=atom_key):
-        for l1, l2 in sorted(rl.pairs, key=atom_key):
-            got = lift_member_dist(f1.step(a1, l1), f2.step(a2, l2), s)
-            if not got:
-                return BisimResult(False, {
-                    "pair": (a1, a2), "labels": (l1, l2),
-                    "succ": (f1.step(a1, l1), f2.step(a2, l2)),
-                    "violated": got.violated})
-    return BisimResult(True)
+    return _check(s, f1, f2, rl)
 
 
-def largest_bisimulation(f1, f2, rl: Rel = None, mode: str = "auto") -> Rel:
+def largest_bisimulation(f1, f2, rl: Rel = None) -> Rel:
     """Greatest fixpoint of one-step refinement from the full relation.
 
     Each round removes, simultaneously, every pair whose step check
     fails against the current relation; the result is the largest
-    relation passing its own check.
+    relation passing its own check.  Both systems must step in the same
+    monad, which decides the lifted relation.
     """
-    if mode == "auto":
-        if isinstance(f1, PLTS) and isinstance(f2, PLTS):
-            mode = "dist"
-        elif isinstance(f1, LTS) and isinstance(f2, LTS):
-            mode = "powerset"
-        else:
-            raise ValueError("systems have different kinds")
-    if mode not in ("powerset", "dist"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _same_monad(f1, f2)
     if rl is None:
         if f1.labels != f2.labels:
             raise ValueError("label sets differ; pass an explicit relation")
         rl = Rel.diagonal(f1.labels)
-    if mode == "dist" and f1.mode != f2.mode:
-        raise ValueError(f"mode mismatch: {f1.mode} vs {f2.mode}")
 
+    related = f1.monad.related
     label_pairs = sorted(rl.pairs, key=atom_key)
     current = {(a1, a2) for a1 in f1.states for a2 in f2.states}
     while True:
         rel = Rel(f1.states, f2.states, current)
-        survivors = set()
-        for a1, a2 in sorted(current, key=atom_key):
-            ok = True
-            for l1, l2 in label_pairs:
-                if mode == "powerset":
-                    ok = lift_member_powerset(
-                        f1.step(a1, l1), f2.step(a2, l2), rel)
-                else:
-                    ok = bool(lift_member_dist(
-                        f1.step(a1, l1), f2.step(a2, l2), rel))
-                if not ok:
-                    break
-            if ok:
-                survivors.add((a1, a2))
+        survivors = {
+            (a1, a2) for a1, a2 in current
+            if all(related(f1.step(a1, l1), f2.step(a2, l2), rel)
+                   for l1, l2 in label_pairs)
+        }
         if survivors == current:
             return rel
         current = survivors

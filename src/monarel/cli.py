@@ -18,8 +18,7 @@ from .bisim import (check_bisimulation, check_prob_bisimulation,
                     largest_bisimulation, larsen_skou_check)
 from .finset import Rel, atom_key, atom_str
 from .lawcheck import SET, check_cartesian, standard_battery
-from .lifting import (lift_enumerate, lift_member_dist,
-                      lift_member_dist_saturated, lift_member_powerset)
+from .lifting import lift_enumerate, lift_member_dist_saturated
 from .metalang import (ParseError, TTy, TypecheckError, basic_lemma_check,
                        logical_relation, parse, parse_ty, synthesize, term_str,
                        type_pool, typecheck)
@@ -66,8 +65,8 @@ def cmd_check_laws(args):
     if args.max_size < 0:
         raise _Usage("--max-size must be at least 0")
     cat = ORD if t.category == "ord" else SET
-    sets = cat.default_sets(args.max_size)
     try:
+        sets = cat.default_sets(args.max_size)
         reports = standard_battery(t, sets, samples=args.samples,
                                    seed=args.seed, category=cat)
         cartesian = check_cartesian(t, sets, samples=args.samples,
@@ -114,61 +113,59 @@ def cmd_lift(args):
     return 0
 
 
+def _load_dist(path, mode):
+    nu = _load(path, lambda o: jsonio.load_ratdist(o, mode=mode))
+    if nu.mode != mode:
+        raise _Usage(f"{path}: distribution mode {nu.mode} differs from "
+                     f"--mode {mode}")
+    return nu
+
+
 def cmd_member(args):
-    _monad(args)  # validates the name/mode pair
+    t = _monad(args)
+    if t.category == "ord":
+        raise _Usage("use 'poset-lift' for the ordered monad")
+    if args.saturated and t.enumerable:
+        raise _Usage(f"--saturated applies to dist, not {t.name}")
     s = _load(args.S, jsonio.load_rel)
-    if args.monad in ("powerset", "nonempty-powerset"):
+    if t.enumerable:
         if not (args.b1 and args.b2):
-            raise _Usage("powerset membership needs --b1 and --b2")
-        b1 = set(_load(args.b1, jsonio.load_finset))
-        b2 = set(_load(args.b2, jsonio.load_finset))
-        if args.monad == "nonempty-powerset" and (not b1 or not b2):
-            raise _Usage("the empty set is not a value of this monad")
-        try:
-            member = lift_member_powerset(b1, b2, s)
-        except ValueError as e:
-            raise _Usage(str(e))
-        if args.json:
-            _emit(args, {"member": member})
-        else:
-            print("member" if member else "not a member")
-        return 0 if member else 1
-    if args.monad != "dist":
-        raise _Usage(f"membership queries support powerset and dist, "
-                     f"not {args.monad}")
-    if not (args.nu1 and args.nu2):
-        raise _Usage("distribution membership needs --nu1 and --nu2")
-    nu1 = _load(args.nu1, lambda o: jsonio.load_ratdist(o))
-    nu2 = _load(args.nu2, lambda o: jsonio.load_ratdist(o))
+            raise _Usage(f"{t.name} membership needs --b1 and --b2")
+        v1 = frozenset(_load(args.b1, jsonio.load_finset))
+        v2 = frozenset(_load(args.b2, jsonio.load_finset))
+    else:
+        if not (args.nu1 and args.nu2):
+            raise _Usage("distribution membership needs --nu1 and --nu2")
+        v1 = _load_dist(args.nu1, t.mode)
+        v2 = _load_dist(args.nu2, t.mode)
     try:
         if args.saturated:
-            member = lift_member_dist_saturated(nu1, nu2, s)
-            witness = violated = None
+            got = lift_member_dist_saturated(v1, v2, s)
         else:
-            got = lift_member_dist(nu1, nu2, s)
-            member, witness, violated = got.member, got.witness, got.violated
+            got = t.related(v1, v2, s)
     except ValueError as e:
         raise _Usage(str(e))
+    member = bool(got)
+    witness = getattr(got, "witness", None)
+    violated = getattr(got, "violated", None)
     if args.json:
-        _emit(args, {
-            "member": member,
-            "witness": jsonio.value_json(witness) if witness else None,
-            "violated": list(violated) if violated else None,
-        })
+        payload = {"member": member}
+        if not t.enumerable:
+            payload["witness"] = jsonio.value_json(witness) if witness else None
+            payload["violated"] = list(violated) if violated else None
+        _emit(args, payload)
+    elif member:
+        print("member")
+        if witness is not None:
+            for (x, y), w in witness.items():
+                print(f"  coupling ({x},{y}) -> {w}")
     else:
-        if member:
-            print("member")
-            if witness is not None:
-                for (x, y), w in witness.items():
-                    print(f"  coupling ({x},{y}) -> {w}")
-        else:
-            print("not a member")
-            if violated:
-                img = sorted(set().union(
-                    *(s.right_image(x) for x in violated)))
-                print(f"  violated subset U = {{{', '.join(violated)}}}: "
-                      f"nu1(U) = {nu1.mass(violated)} > "
-                      f"nu2(S(U)) = {nu2.mass(img)}")
+        print("not a member")
+        if violated:
+            img = sorted(set().union(*(s.right_image(x) for x in violated)))
+            print(f"  violated subset U = {{{', '.join(violated)}}}: "
+                  f"nu1(U) = {v1.mass(violated)} > "
+                  f"nu2(S(U)) = {v2.mass(img)}")
     return 0 if member else 1
 
 
@@ -230,8 +227,9 @@ def cmd_max_bisim(args):
         raw = _read_json(args.sys1)
         if not isinstance(raw, dict):
             raise _Usage(f"{args.sys1}: a transition system must be an object")
-        probabilistic = isinstance(raw.get("step", {}), dict) and any(
-            isinstance(v, dict) for v in raw["step"].values())
+        step = raw.get("step")
+        probabilistic = isinstance(step, dict) and any(
+            isinstance(v, dict) for v in step.values())
         loader = jsonio.load_plts if probabilistic else jsonio.load_lts
     f1 = _load(args.sys1, loader)
     f2 = _load(args.sys2, loader)
@@ -468,8 +466,12 @@ def _build_parser():
     sp.set_defaults(fn=cmd_lift)
 
     sp = sub.add_parser("member", help="decide lifted-relation membership")
-    sp.add_argument("--monad", required=True)
-    sp.add_argument("--mode", default="probability")
+    sp.add_argument("--monad", required=True,
+                    help="powerset | nonempty-powerset | dist")
+    sp.add_argument("--mode", default="probability",
+                    help="probability | subprobability (dist only): the "
+                         "mode of --nu1/--nu2 files that give none; a file "
+                         "with another mode is an error")
     sp.add_argument("--S", required=True, help="relation JSON file")
     sp.add_argument("--b1", help="left subset (powerset)")
     sp.add_argument("--b2", help="right subset (powerset)")

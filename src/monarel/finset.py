@@ -1,4 +1,4 @@
-"""Finite sets, functions, relations, and the image factorization.
+"""Finite sets, functions and relations.
 
 Everything is exact and deterministic.  Elements ("atoms") are strings,
 pairs of atoms, or finite sets of atoms; a canonical sort key gives them
@@ -154,68 +154,6 @@ def times(f: FinFun, g: FinFun) -> FinFun:
     dom = product_set(f.dom, g.dom)
     cod = product_set(f.cod, g.cod)
     return FinFun(dom, cod, {(x, y): (f(x), g(y)) for (x, y) in dom})
-
-
-class Factorization:
-    """Surjection-followed-by-injection image factorization of a function."""
-
-    __slots__ = ("epi", "mid", "mono")
-
-    def __init__(self, epi: FinFun, mid: FinSet, mono: FinFun):
-        if not epi.is_surjective():
-            raise ValueError("epi part is not surjective")
-        if not mono.is_injective():
-            raise ValueError("mono part is not injective")
-        if epi.cod != mid or mono.dom != mid:
-            raise ValueError("middle object mismatch")
-        object.__setattr__(self, "epi", epi)
-        object.__setattr__(self, "mid", mid)
-        object.__setattr__(self, "mono", mono)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Factorization is immutable")
-
-    def compose(self) -> FinFun:
-        return compose(self.mono, self.epi)
-
-    def __repr__(self):
-        return f"Factorization(mid={self.mid!r})"
-
-
-def factorize(f: FinFun) -> Factorization:
-    """Factor f through its image."""
-    mid = f.image()
-    epi = FinFun(f.dom, mid, dict(f.graph))
-    mono = FinFun(mid, f.cod, {y: y for y in mid})
-    return Factorization(epi, mid, mono)
-
-
-def diagonal_fill_in(e: FinFun, m: FinFun, left: FinFun, right: FinFun) -> FinFun:
-    """The unique d with d . e == left and m . d == right.
-
-    e must be surjective and m injective; left: e.dom -> m.dom and
-    right: e.cod -> m.cod must make the square m . left == right . e
-    commute.  d is then well defined on each fiber of e.
-    """
-    if e.dom != left.dom or e.cod != right.dom:
-        raise ValueError("fill-in: domain mismatch")
-    if m.dom != left.cod or m.cod != right.cod:
-        raise ValueError("fill-in: codomain mismatch")
-    if not e.is_surjective():
-        raise ValueError("fill-in: e is not surjective")
-    if not m.is_injective():
-        raise ValueError("fill-in: m is not injective")
-    if compose(m, left) != compose(right, e):
-        raise ValueError("fill-in: square does not commute")
-    graph = {}
-    for x in e.dom:
-        y = e(x)
-        v = left(x)
-        if y in graph and graph[y] != v:
-            # cannot happen on a commuting square with injective m
-            raise ValueError("fill-in: left is not constant on fibers")
-        graph[y] = v
-    return FinFun(e.cod, m.dom, graph)
 
 
 class Rel:

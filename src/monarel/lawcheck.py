@@ -18,9 +18,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
+from .dist import corner_dists, random_dist
 from .finset import UNIT_ATOM, FinSet, product_set
-from .monads import MonadInstance, corner_dists, random_dist
+
+if TYPE_CHECKING:
+    from .monads import MonadInstance
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,8 @@ class SetCategory:
 
     def default_sets(self, max_size=3):
         atoms = ["a", "b", "c", "d"]
+        if max_size > len(atoms):
+            raise ValueError(f"the default grid has at most {len(atoms)} atoms")
         return [FinSet(atoms[:k]) for k in range(max_size + 1)]
 
 

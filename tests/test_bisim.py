@@ -178,7 +178,7 @@ def test_largest_probabilistic_contains_the_root_pair():
 
 
 def test_largest_auto_dispatch_and_label_defaults():
-    assert ("s", "s'") in largest_bisimulation(HALF_SYS, ONE_SYS, mode="auto").pairs
+    assert ("s", "s'") in largest_bisimulation(HALF_SYS, ONE_SYS).pairs
     m1 = lts(["a"], ["l"], {})
     m2 = lts(["x"], ["k"], {})
     with pytest.raises(ValueError):

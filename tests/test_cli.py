@@ -1,8 +1,13 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from monarel.cli import main
 
@@ -65,6 +70,7 @@ def test_check_laws_unknown_monad_exits_2(capsys):
     ("--monad", "powerset", "--max-size", "-1"),
     ("--monad", "nonempty-powerset", "--max-size", "0"),
     ("--monad", "dist", "--max-size", "0"),
+    ("--monad", "powerset", "--max-size", "5"),
 ])
 def test_check_laws_without_cases_exits_2(capsys, argv):
     code, out, err = run(capsys, "check-laws", *argv)
@@ -328,6 +334,7 @@ def test_bad_json_reports_location(capsys, tmp_path):
     ("member", {"--S": STAIR,
                 "--nu1": {"weights": [["1", "1"]]},
                 "--nu2": {"weights": {"a": "1"}}}),
+    ("max-bisim", {"--sys1": {}, "--sys2": {}}),
 ])
 def test_malformed_input_shapes_exit_2(capsys, j, command, files):
     argv = [command]
@@ -338,6 +345,42 @@ def test_malformed_input_shapes_exit_2(capsys, j, command, files):
     code, _, err = run(capsys, *argv)
     assert code == 2 and "error:" in err
     assert "Traceback" not in err
+
+
+SUB_HALF = {"weights": {"1": "1/2"}}
+
+
+@pytest.mark.parametrize("argv,files,needle", [
+    (["--monad", "dist"], {"--nu1": SUB_HALF, "--nu2": {"weights": {"a": "1"}}},
+     "probability mass 1/2"),
+    (["--monad", "dist"], {"--nu1": dict(SUB_HALF, mode="subprobability"),
+                           "--nu2": {"weights": {"a": "1/2"}}},
+     "mode subprobability differs from --mode probability"),
+    (["--monad", "dist", "--mode", "subprobability"],
+     {"--nu1": SUB_HALF,
+      "--nu2": {"mode": "probability", "weights": {"a": "1"}}},
+     "mode probability differs from --mode subprobability"),
+    (["--monad", "powerset", "--saturated"], {"--b1": ["1"], "--b2": ["a"]},
+     "--saturated"),
+    (["--monad", "nonempty-powerset", "--saturated"],
+     {"--b1": ["1"], "--b2": ["a"]}, "--saturated"),
+    (["--monad", "upper"], {"--b1": ["1"], "--b2": ["a"]}, "poset-lift"),
+])
+def test_member_flags_are_honoured(capsys, j, argv, files, needle):
+    argv = ["member", *argv, "--S", j("s.json", STAIR)]
+    for flag, obj in files.items():
+        argv += [flag, j(flag.strip("-") + ".json", obj)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and needle in err
+    assert "Traceback" not in err
+
+
+def test_member_mode_applies_to_files_without_one(capsys, j):
+    code, out, _ = run(capsys, "member", "--monad", "dist",
+                       "--mode", "subprobability", "--S", j("s.json", STAIR),
+                       "--nu1", j("nu1.json", SUB_HALF),
+                       "--nu2", j("nu2.json", {"weights": {"a": "1/2"}}))
+    assert code == 0 and "coupling (1,a) -> 1/2" in out
 
 
 def test_missing_file_exits_2(capsys):
@@ -357,3 +400,146 @@ def test_help_via_subprocess():
     assert out.returncode == 0
     assert "JSON schemas" in out.stdout
     assert "state|label" in out.stdout
+
+
+# ----------------------------------------------------------------- fuzz
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+NAMES = ["a", "b", "c", "x|y"]  # "|" is reserved in step keys
+MODES = ["probability", "subprobability"]
+
+
+def _rarely(draw):
+    # a middle value: hypothesis favours the ends of a range
+    return draw(st.integers(0, 9)) == 4
+
+
+def _mostly(draw, value):
+    """value, replaced by arbitrary JSON now and then."""
+    return draw(JUNK) if _rarely(draw) else value
+
+
+def _carrier(draw):
+    if _rarely(draw):  # duplicates, reserved characters, or empty
+        return draw(st.lists(st.sampled_from(NAMES), max_size=3))
+    return draw(st.lists(st.sampled_from(NAMES[:3]), min_size=1, max_size=3,
+                         unique=True))
+
+
+def _rel(draw, left, right):
+    cells = [[a, b] for a in left for b in right] or [["a", "b"]]
+    return {"left": left, "right": right,
+            "pairs": draw(st.lists(st.sampled_from(cells), max_size=5))}
+
+
+def _weights(draw, support, mode):
+    """Weights over support: exact probability or subprobability
+    masses, with an occasional malformed entry."""
+    counts = draw(st.lists(st.integers(0, 2), min_size=len(support),
+                           max_size=len(support)))
+    if mode == "probability" and counts and not any(counts):
+        counts[0] = 1
+    total = sum(counts) + (mode != "probability") * draw(st.integers(0, 2))
+    weights = {x: f"{c}/{total or 1}" for x, c in zip(support, counts) if c}
+    if _rarely(draw):
+        weights[draw(st.sampled_from(NAMES))] = draw(
+            st.sampled_from(["-1/2", "1/0", "x", 2, None, 0.5]))
+    return weights
+
+
+def _dist(draw, support, mode):
+    obj = {"weights": _weights(draw, support, mode)}
+    given = draw(st.sampled_from([mode, None, "probability", "bogus"]))
+    if given is not None:
+        obj["mode"] = given
+    return obj
+
+
+def _system(draw, states, labels, mode):
+    """An LTS (mode None) or a PLTS in the given mode."""
+    step = {}
+    for s in states:
+        for label in labels:
+            if mode == "probability" or draw(st.booleans()):
+                succ = [t for t in states if draw(st.booleans())]
+                step[f"{s}|{label}"] = (succ if mode is None
+                                        else _weights(draw, succ or states, mode))
+    obj = {"states": states, "labels": labels, "step": step}
+    if mode is not None:
+        obj["mode"] = mode
+    return obj
+
+
+@st.composite
+def _member_argv(draw):
+    monad = draw(st.sampled_from(["powerset", "nonempty-powerset", "dist",
+                                  "upper"]))
+    mode = draw(st.sampled_from(MODES))
+    left, right = _carrier(draw), _carrier(draw)
+    files = {"--S": _mostly(draw, _rel(draw, left, right))}
+    if monad == "dist":
+        files["--nu1"] = _mostly(draw, _dist(draw, left, mode))
+        files["--nu2"] = _mostly(draw, _dist(draw, right, mode))
+    else:
+        files["--b1"] = [x for x in left if draw(st.booleans())]
+        files["--b2"] = [y for y in right if draw(st.booleans())]
+    flags = ["--monad", monad, "--mode", mode]
+    if _rarely(draw):
+        flags.append("--saturated")
+    return flags, files
+
+
+@st.composite
+def _bisim_argv(draw, command):
+    mode = {"bisim": None, "prob-bisim": draw(st.sampled_from(MODES)),
+            "max-bisim": draw(st.sampled_from([None] + MODES))}[command]
+    labels = _carrier(draw)
+    states1, states2 = _carrier(draw), _carrier(draw)
+    files = {
+        "--sys1": _mostly(draw, _system(draw, states1, labels, mode)),
+        "--sys2": _mostly(draw, _system(draw, states2, labels, mode)),
+    }
+    if draw(st.booleans()):
+        files["--labels"] = _rel(draw, labels, labels)
+    if command != "max-bisim" and draw(st.booleans()):
+        files["--rel"] = _rel(draw, states1, states2)
+    flags = []
+    if command == "max-bisim" and draw(st.booleans()):
+        flags = ["--kind", "powerset" if mode is None else "dist"]
+    return flags, files
+
+
+FUZZ = {
+    "member": (_member_argv(), "not a member"),
+    "bisim": (_bisim_argv("bisim"), "not a bisimulation"),
+    "prob-bisim": (_bisim_argv("prob-bisim"), "not a bisimulation"),
+    "max-bisim": (_bisim_argv("max-bisim"), None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_generated_inputs_keep_the_exit_code_promise(command, data):
+    # exit 0 or 2 always, or 1 with the counterexample printed
+    strategy, cex = FUZZ[command]
+    flags, files = data.draw(strategy, label="input")
+    argv = [command, *flags]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, obj in files.items():
+            path = os.path.join(tmp, flag.strip("-") + ".json")
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+            argv += [flag, path]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert cex is not None and cex in out.getvalue()

@@ -1,9 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from monarel import (FinFun, FinSet, Rel, UNIT, UNIT_ATOM, atom_key,
-                     atom_str, compose, diagonal_fill_in, factorize,
-                     identity, pair, product_set, subsets, times)
+                     atom_str, compose, identity, pair, product_set, subsets,
+                     times)
 
 
 def test_finset_dedupe_is_an_error():
@@ -125,61 +124,3 @@ def test_rel_projections():
     assert ("1", "a") in s.as_finset()
     assert s.proj_left()(("1", "a")) == "1"
     assert s.proj_right()(("1", "a")) == "a"
-
-
-def test_factorize_splits_into_surjection_and_injection():
-    a = FinSet(["1", "2", "3"])
-    b = FinSet(["x", "y", "z"])
-    f = FinFun(a, b, {"1": "x", "2": "x", "3": "y"})
-    fac = factorize(f)
-    assert fac.epi.is_surjective()
-    assert fac.mono.is_injective()
-    assert fac.mid == FinSet(["x", "y"])
-    assert fac.compose() == f
-
-
-@given(st.data())
-def test_factorize_recomposes(data):
-    dom = FinSet(["1", "2", "3"])
-    cod = FinSet(["x", "y", "z"])
-    graph = {v: data.draw(st.sampled_from(sorted(cod)), label=v) for v in dom}
-    f = FinFun(dom, cod, graph)
-    fac = factorize(f)
-    assert fac.compose() == f
-    assert set(fac.mid) == set(graph.values())
-
-
-def test_diagonal_fill_in_forced_value():
-    # e surjective, m injective: the diagonal is unique when it exists
-    a = FinSet(["1", "2"])
-    b = FinSet(["p"])
-    c = FinSet(["q", "r"])
-    d = FinSet(["u", "v"])
-    e = FinFun(a, b, {"1": "p", "2": "p"})
-    m = FinFun(c, d, {"q": "u", "r": "v"})
-    left = FinFun(a, c, {"1": "q", "2": "q"})
-    right = FinFun(b, d, {"p": "u"})
-    fill = diagonal_fill_in(e, m, left, right)
-    assert fill.graph == {"p": "q"}
-    assert compose(fill, e) == left
-    assert compose(m, fill) == right
-    # enumeration confirms no second fill-in commutes on both triangles
-    count = 0
-    for img in c:
-        g = FinFun(b, c, {"p": img})
-        if compose(g, e) == left and compose(m, g) == right:
-            count += 1
-    assert count == 1
-
-
-def test_diagonal_fill_in_rejects_non_commuting_square():
-    a = FinSet(["1"])
-    b = FinSet(["p"])
-    c = FinSet(["q"])
-    d = FinSet(["u", "v"])
-    e = FinFun(a, b, {"1": "p"})
-    m = FinFun(c, d, {"q": "u"})
-    left = FinFun(a, c, {"1": "q"})
-    bad_right = FinFun(b, d, {"p": "v"})
-    with pytest.raises(ValueError):
-        diagonal_fill_in(e, m, left, bad_right)

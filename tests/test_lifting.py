@@ -8,12 +8,12 @@ import oracles
 from test_lawcheck import mutant_powerset
 
 from monarel import (FinSet, FinFun, RatDist, Rel, converse_coupling,
-                     dist_monad, is_saturated, lift, lift_enumerate,
+                     dist_monad, is_saturated, lift_enumerate,
                      lift_member_dist, lift_member_dist_saturated,
                      lift_member_powerset, lifted_morphism, lifted_mult_check,
                      lifted_strength_check, lifted_unit_check,
                      nonempty_powerset_monad, powerset_monad, random_dist,
-                     saturate, subsets)
+                     saturate, subsets, upper_monad)
 
 F = Fraction
 
@@ -86,6 +86,37 @@ def test_nonempty_powerset_drops_the_empty_pair():
     assert lifted.pairs == full.pairs - {(frozenset(), frozenset())}
 
 
+
+@pytest.mark.parametrize("t", [powerset_monad(), nonempty_powerset_monad()],
+                         ids=lambda t: t.name)
+def test_related_agrees_with_the_enumerated_lifting(t):
+    # lift_enumerate, the image of T(S), is the reference definition
+    for n, m in itertools.product(range(3), repeat=2):
+        for s in all_rels(n, m):
+            lifted = lift_enumerate(t, s).pairs
+            for v1 in t.apply(s.left):
+                for v2 in t.apply(s.right):
+                    assert bool(t.related(v1, v2, s)) == ((v1, v2) in lifted)
+
+
+def test_related_rejects_values_outside_the_monad():
+    one = frozenset({"1"})
+    with pytest.raises(ValueError):
+        nonempty_powerset_monad().related(frozenset(), frozenset(), S_STAIR)
+    with pytest.raises(ValueError):
+        powerset_monad().related(frozenset({"z"}), one, S_STAIR)
+    sub1 = RatDist({"1": F(1, 2)}, "subprobability")
+    sub2 = RatDist({"a": F(1, 2)}, "subprobability")
+    assert dist_monad("subprobability").related(sub1, sub2, S_STAIR)
+    with pytest.raises(ValueError):
+        dist_monad("probability").related(sub1, sub2, S_STAIR)
+    with pytest.raises(ValueError):
+        dist_monad("subprobability").related(one, one, S_STAIR)
+    for t in (upper_monad(), mutant_powerset()):
+        with pytest.raises(ValueError):
+            t.related(one, frozenset({"a"}), S_STAIR)
+
+
 # ------------------------------------------------------ dist membership
 
 def half(x, y):
@@ -136,6 +167,21 @@ def test_membership_matches_subset_condition_oracle():
             nu2 = random_dist(rng, list(s.right), "probability")
             assert bool(lift_member_dist(nu1, nu2, s)) == \
                 oracles.strassen_ok(nu1, nu2, s)
+
+
+
+@pytest.mark.parametrize("mode", ["probability", "subprobability"])
+def test_dist_related_matches_subset_condition_oracle(mode):
+    t = dist_monad(mode)
+    rng = random.Random(41)
+    for s in all_rels(2, 2):
+        for _ in range(6):
+            nu1 = random_dist(rng, list(s.left), mode)
+            nu2 = random_dist(rng, list(s.right), mode)
+            got = t.related(nu1, nu2, s)
+            assert bool(got) == oracles.strassen_ok(nu1, nu2, s)
+            if got:
+                assert oracles.coupling_valid(got.witness, nu1, nu2, s)
 
 
 def test_subprobability_membership():
@@ -259,24 +305,6 @@ def test_converse_coupling_rejects_unbalanced_classes():
         converse_coupling(nu1, nu2, saturate(s)[1])
 
 
-# ------------------------------------------------------------- wrappers
-
-def test_lifted_rel_wrapper_enumerable():
-    lr = lift(powerset_monad(), S_STAIR)
-    assert lr.realization is not None
-    assert lr.member(frozenset({"1"}), frozenset({"a"}))
-    assert not lr.member(frozenset({"1"}), frozenset({"b"}))
-
-
-def test_lifted_rel_wrapper_dist():
-    lr = lift(dist_monad("probability"), S_STAIR)
-    assert lr.realization is None
-    assert lr.member(half("1", "2"), half("a", "b"))
-    res = lr.witness(half("1", "2"), half("a", "b"))
-    assert oracles.coupling_valid(res.witness, half("1", "2"),
-                                  half("a", "b"), S_STAIR)
-
-
 def test_lifted_morphism_induced_map():
     t = powerset_monad()
     s = Rel(A12, AB, [("1", "a"), ("2", "b")])
@@ -316,7 +344,16 @@ def test_lifted_mult_checks_real_cases_for_enumerable_monads():
 
     r = lifted_mult_check(mutant_powerset(mult=lossy_mult), S_STAIR)
     assert not r.ok and r.counterexample is not None
-    assert lifted_mult_check(nonempty_powerset_monad(), S_STAIR).cases > 0
+    assert lifted_mult_check(powerset_monad(), S_STAIR).cases == 56
+    assert lifted_mult_check(nonempty_powerset_monad(), S_STAIR).cases == 27
+
+
+def test_lifted_mult_on_four_atoms_does_not_build_second_level_carriers():
+    # T(T A) has 2^16 values here; the check must not enumerate them
+    left, right = FinSet(["1", "2", "3", "4"]), FinSet(["a", "b", "c", "d"])
+    s = Rel(left, right, [("1", "a"), ("2", "b")])
+    r = lifted_mult_check(powerset_monad(), s)
+    assert r.ok and r.cases == 16
 
 
 def test_lifted_laws_hold_for_dist_on_the_stair():
