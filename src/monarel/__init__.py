@@ -6,18 +6,12 @@ logical relations, and probabilistic bisimulation."""
 from .finset import (
     UNIT,
     UNIT_ATOM,
-    FinFun,
     FinSet,
     Rel,
     atom_key,
     atom_str,
-    compose,
-    identity,
-    pair,
-    product,
     product_set,
     subsets,
-    times,
 )
 from .lawcheck import (
     LawReport,
@@ -36,14 +30,12 @@ from .lawcheck import (
 )
 from .lifting import (
     CouplingResult,
-    MorphismCheck,
     converse_coupling,
     is_saturated,
     lift_enumerate,
     lift_member_dist,
     lift_member_dist_saturated,
     lift_member_powerset,
-    lifted_morphism,
     lifted_mult_check,
     lifted_strength_check,
     lifted_unit_check,
@@ -87,23 +79,17 @@ from .metalang import (
 )
 from .poset import (
     ORD,
-    ORD_UNIT,
     FinPoset,
     OrdFactorization,
     OrdFun,
     OrderedRel,
     SYSTEMS,
-    UpperSet,
     chain,
     discrete,
     factorize_ord,
     lift_relation_ord,
-    ord_compose,
-    ord_identity,
     ord_product,
-    smyth_le,
     upper_monad,
-    upper_set,
 )
 
 __version__ = "0.1.0"

@@ -340,6 +340,10 @@ def cmd_basic_lemma(args):
                 print(f"  counterexample: {_show(rep.counterexample)}")
         return 0 if rep.ok else 1
     # generated suite
+    if args.count < 1:
+        raise _Usage("--count must be at least 1")
+    if args.max_size < 1:
+        raise _Usage("--max-size must be at least 1")
     if not ctx:
         if not m1.base:
             raise _Usage("generated terms need --ctx or a base type")
@@ -414,7 +418,6 @@ def _show(obj):
 _SCHEMAS = """\
 JSON schemas:
   finite set      ["a","b"]
-  function        {"dom":[...],"cod":[...],"map":{"a":"b"}}
   relation        {"left":[...],"right":[...],"pairs":[["a","b"],...]}
   distribution    {"mode":"probability","weights":{"a":"1/2","b":"1/2"}}
   LTS             {"states":[...],"labels":[...],"step":{"s|l":["t","u"]}}
@@ -446,8 +449,6 @@ def _build_parser():
         if seeded:
             sp.add_argument("--seed", type=int, default=0,
                             help="seed for randomized suites")
-            sp.add_argument("--samples", type=int, default=200,
-                            help="sample count for non-enumerable checks")
 
     sp = sub.add_parser("check-laws", help="run the equational law battery")
     sp.add_argument("--monad", required=True,
@@ -456,6 +457,8 @@ def _build_parser():
                     help="probability | subprobability (dist only)")
     sp.add_argument("--max-size", type=int, default=3,
                     help="largest carrier in the test grid")
+    sp.add_argument("--samples", type=int, default=200,
+                    help="sample count for non-enumerable checks")
     common(sp)
     sp.set_defaults(fn=cmd_check_laws)
 

@@ -1,4 +1,4 @@
-"""Finite sets, functions and relations.
+"""Finite sets and relations.
 
 Everything is exact and deterministic.  Elements ("atoms") are strings,
 pairs of atoms, or finite sets of atoms; a canonical sort key gives them
@@ -69,91 +69,8 @@ class FinSet:
         return "FinSet({" + ", ".join(atom_str(a) for a in self.elements) + "})"
 
 
-class FinFun:
-    """A total function between finite sets, given by its graph."""
-
-    __slots__ = ("dom", "cod", "graph")
-
-    def __init__(self, dom: FinSet, cod: FinSet, graph):
-        if callable(graph):
-            graph = {x: graph(x) for x in dom}
-        graph = dict(graph)
-        if set(graph) != set(dom.elements):
-            raise ValueError("graph does not cover the domain exactly")
-        for x, y in graph.items():
-            if y not in cod:
-                raise ValueError(f"image {atom_str(y)!r} of {atom_str(x)!r} not in codomain")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "graph", {x: graph[x] for x in dom.elements})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinFun is immutable")
-
-    def __call__(self, x):
-        return self.graph[x]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinFun)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.graph == other.graph
-        )
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, tuple(self.graph.items())))
-
-    def __repr__(self):
-        body = ", ".join(f"{atom_str(x)}->{atom_str(y)}" for x, y in self.graph.items())
-        return f"FinFun({{{body}}})"
-
-    def image(self) -> FinSet:
-        return FinSet(set(self.graph.values()))
-
-    def is_injective(self) -> bool:
-        return len(set(self.graph.values())) == len(self.graph)
-
-    def is_surjective(self) -> bool:
-        return set(self.graph.values()) == set(self.cod.elements)
-
-
-def identity(a: FinSet) -> FinFun:
-    return FinFun(a, a, {x: x for x in a})
-
-
-def compose(g: FinFun, f: FinFun) -> FinFun:
-    """g after f.  Composition is only defined when f.cod == g.dom."""
-    if f.cod != g.dom:
-        raise ValueError("composition mismatch: f.cod != g.dom")
-    return FinFun(f.dom, g.cod, {x: g(f(x)) for x in f.dom})
-
-
-def product(a: FinSet, b: FinSet):
-    """Cartesian product with its two projections: (a x b, fst, snd)."""
-    p = FinSet([(x, y) for x in a for y in b])
-    fst = FinFun(p, a, {xy: xy[0] for xy in p})
-    snd = FinFun(p, b, {xy: xy[1] for xy in p})
-    return p, fst, snd
-
-
 def product_set(a: FinSet, b: FinSet) -> FinSet:
     return FinSet([(x, y) for x in a for y in b])
-
-
-def pair(f: FinFun, g: FinFun) -> FinFun:
-    """Universal pairing <f, g> into the product of the codomains."""
-    if f.dom != g.dom:
-        raise ValueError("pairing needs a common domain")
-    cod = product_set(f.cod, g.cod)
-    return FinFun(f.dom, cod, {x: (f(x), g(x)) for x in f.dom})
-
-
-def times(f: FinFun, g: FinFun) -> FinFun:
-    """f x g acting componentwise on the product."""
-    dom = product_set(f.dom, g.dom)
-    cod = product_set(f.cod, g.cod)
-    return FinFun(dom, cod, {(x, y): (f(x), g(y)) for (x, y) in dom})
 
 
 class Rel:
@@ -207,17 +124,6 @@ class Rel:
         """The relation as a set of pair atoms."""
         return FinSet(self.pairs)
 
-    def proj_left(self) -> FinFun:
-        s = self.as_finset()
-        return FinFun(s, self.left, {p: p[0] for p in s})
-
-    def proj_right(self) -> FinFun:
-        s = self.as_finset()
-        return FinFun(s, self.right, {p: p[1] for p in s})
-
-    def converse(self) -> "Rel":
-        return Rel(self.right, self.left, {(y, x) for x, y in self.pairs})
-
     def product(self, other: "Rel") -> "Rel":
         """Componentwise product relation over the product carriers."""
         return Rel(
@@ -229,10 +135,6 @@ class Rel:
     @staticmethod
     def diagonal(a: FinSet) -> "Rel":
         return Rel(a, a, {(x, x) for x in a})
-
-    @staticmethod
-    def full(a: FinSet, b: FinSet) -> "Rel":
-        return Rel(a, b, {(x, y) for x in a for y in b})
 
 
 # The unit object of the cartesian product is a fixed one-element set.

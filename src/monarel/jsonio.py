@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .bisim import LTS, PLTS
-from .finset import FinFun, FinSet, Rel, atom_key
+from .finset import FinSet, Rel, atom_key
 from .lawcheck import LawReport
 from .metalang import Model
 from .monads import MODES, MonadInstance, RatDist, dist_monad, \
@@ -50,14 +50,14 @@ def load_finset(obj) -> FinSet:
     return FinSet(obj)
 
 
-def load_fun(obj) -> FinFun:
-    _require(isinstance(obj, dict), "a function must be an object")
-    for key in ("dom", "cod", "map"):
-        _require(key in obj, f"function needs a {key!r} field")
-    dom = load_finset(obj["dom"])
-    cod = load_finset(obj["cod"])
-    _require(isinstance(obj["map"], dict), "'map' must be an object")
-    return FinFun(dom, cod, obj["map"])
+def _pairs(obj, what):
+    """An array of two-element arrays of strings, as a list of tuples."""
+    _require(isinstance(obj, list), f"{what}s must be an array")
+    for p in obj:
+        _require(isinstance(p, list) and len(p) == 2
+                 and all(isinstance(x, str) for x in p),
+                 f"{what} {p!r} must be a two-element array of strings")
+    return [tuple(p) for p in obj]
 
 
 def load_rel(obj) -> Rel:
@@ -66,12 +66,7 @@ def load_rel(obj) -> Rel:
         _require(key in obj, f"relation needs a {key!r} field")
     left = load_finset(obj["left"])
     right = load_finset(obj["right"])
-    pairs = set()
-    for p in obj["pairs"]:
-        _require(isinstance(p, list) and len(p) == 2,
-                 f"relation pair {p!r} must be a two-element array")
-        pairs.add((p[0], p[1]))
-    return Rel(left, right, pairs)
+    return Rel(left, right, _pairs(obj["pairs"], "relation pair"))
 
 
 def load_fraction(s) -> Fraction:
@@ -138,8 +133,8 @@ def load_plts(obj) -> PLTS:
     for key, dist in obj["step"].items():
         s, l = _split_step_key(key, states, labels)
         if isinstance(dist, dict) and "weights" not in dist:
-            dist = {"mode": mode, "weights": dist}
-        nu = load_ratdist(dist)
+            dist = {"weights": dist}
+        nu = load_ratdist(dist, mode=mode)
         _require(nu.mode == mode,
                  f"step {key!r} has mode {nu.mode}, system says {mode}")
         step[(s, l)] = nu
@@ -150,12 +145,7 @@ def load_poset(obj) -> FinPoset:
     _require(isinstance(obj, dict), "a poset must be an object")
     _require("carrier" in obj, "poset needs a 'carrier' field")
     carrier = load_finset(obj["carrier"])
-    leq = []
-    for p in obj.get("leq", []):
-        _require(isinstance(p, list) and len(p) == 2,
-                 f"order pair {p!r} must be a two-element array")
-        leq.append((p[0], p[1]))
-    return FinPoset(carrier, leq)
+    return FinPoset(carrier, _pairs(obj.get("leq", []), "order pair"))
 
 
 def load_ordered_rel(obj) -> OrderedRel:
@@ -164,20 +154,15 @@ def load_ordered_rel(obj) -> OrderedRel:
         _require(key in obj, f"ordered relation needs a {key!r} field")
     left = load_poset(obj["left"])
     right = load_poset(obj["right"])
-    pairs = set()
-    for p in obj["pairs"]:
-        _require(isinstance(p, list) and len(p) == 2,
-                 f"pair {p!r} must be a two-element array")
-        pairs.add((p[0], p[1]))
+    pairs = _pairs(obj["pairs"], "pair")
     order = None
     if "order" in obj:
-        order = set()
+        _require(isinstance(obj["order"], list), "order entries must be an array")
+        order = []
         for entry in obj["order"]:
-            _require(isinstance(entry, list) and len(entry) == 2
-                     and all(isinstance(q, list) and len(q) == 2
-                             for q in entry),
+            _require(isinstance(entry, list) and len(entry) == 2,
                      f"order entry {entry!r} must pair two pairs")
-        order = {(tuple(entry[0]), tuple(entry[1])) for entry in obj["order"]}
+            order.append(tuple(_pairs(entry, "order entry pair")))
     return OrderedRel(left, right, pairs, order)
 
 

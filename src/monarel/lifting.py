@@ -20,7 +20,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .dist import RatDist, random_dist
-from .finset import FinFun, FinSet, Rel, atom_key, product_set, subsets
+from .finset import FinSet, Rel, atom_key, product_set, subsets
 from .lawcheck import LawReport
 
 if TYPE_CHECKING:
@@ -35,12 +35,9 @@ def lift_enumerate(t: MonadInstance, s: Rel) -> Rel:
     """
     if not t.enumerable:
         raise ValueError(f"monad {t.name} is not enumerable")
-    sfs = s.as_finset()
-    rho1 = s.proj_left()
-    rho2 = s.proj_right()
     pairs = {
-        (t.v_map(rho1, r, s.left), t.v_map(rho2, r, s.right))
-        for r in t.apply(sfs)
+        (t.v_map(lambda p: p[0], r, s.left), t.v_map(lambda p: p[1], r, s.right))
+        for r in t.apply(s.as_finset())
     }
     return Rel(t.apply(s.left), t.apply(s.right), pairs)
 
@@ -263,51 +260,6 @@ def converse_coupling(nu1: RatDist, nu2: RatDist, s: Rel) -> RatDist:
                 if w:
                     weights[(a, b)] = w
     return RatDist(weights, nu1.mode, product_set(s.left, s.right))
-
-
-@dataclass(frozen=True)
-class MorphismCheck:
-    ok: bool
-    induced: FinFun | None = None
-    counterexample: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def lifted_morphism(t: MonadInstance, s: Rel, s2: Rel, h1: FinFun, h2: FinFun,
-                    *, samples: int = 50, seed: int = 0) -> MorphismCheck:
-    """Functoriality on relation morphisms.
-
-    Requires (h1, h2) to map S into S'; verifies the pushforward pair
-    maps the lifted relation of S into that of S', and returns the
-    induced map between the realizations when both are materialized.
-    """
-    for a, b in s.pairs:
-        if (h1(a), h2(b)) not in s2.pairs:
-            raise ValueError(
-                f"({h1(a)!r},{h2(b)!r}) escapes the target relation")
-    if t.enumerable:
-        lifted = lift_enumerate(t, s)
-        lifted2 = lift_enumerate(t, s2)
-        graph = {}
-        for v1, v2 in lifted.pairs:
-            w1 = t.v_map(h1, v1, s2.left)
-            w2 = t.v_map(h2, v2, s2.right)
-            if (w1, w2) not in lifted2.pairs:
-                return MorphismCheck(False, counterexample=(v1, v2, w1, w2))
-            graph[(v1, v2)] = (w1, w2)
-        induced = FinFun(lifted.as_finset(), lifted2.as_finset(), graph)
-        return MorphismCheck(True, induced=induced)
-    rng = random.Random(seed)
-    for nu in _sample_couplings(t, rng, s, samples):
-        v1 = t.v_map(lambda p: p[0], nu, s.left)
-        v2 = t.v_map(lambda p: p[1], nu, s.right)
-        w1 = t.v_map(h1, v1, s2.left)
-        w2 = t.v_map(h2, v2, s2.right)
-        if not t.related(w1, w2, s2):
-            return MorphismCheck(False, counterexample=(v1, v2, w1, w2))
-    return MorphismCheck(True)
 
 
 def _sample_couplings(t: MonadInstance, rng, s: Rel, samples: int):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .finset import FinSet, Rel, UNIT_ATOM, atom_key, product_set, subsets
+from .finset import FinSet, atom_key, product_set, subsets
 from .monads import MonadInstance
 
 
@@ -62,10 +62,6 @@ class FinPoset:
         return frozenset(
             x for x in xs
             if not any(y != x and self.le(y, x) for y in xs))
-
-    def upset(self, xs) -> frozenset:
-        return frozenset(y for y in self.carrier
-                         if any(self.le(x, y) for x in xs))
 
     def is_antichain(self, xs) -> bool:
         xs = list(xs)
@@ -115,9 +111,6 @@ def ord_product(p: FinPoset, q: FinPoset) -> FinPoset:
     return FinPoset(carrier, leq)
 
 
-ORD_UNIT = FinPoset([UNIT_ATOM])
-
-
 class OrdFun:
     """A monotone map between finite posets."""
 
@@ -149,22 +142,7 @@ class OrdFun:
         return f"OrdFun({self.mapping!r})"
 
 
-def ord_identity(p: FinPoset) -> OrdFun:
-    return OrdFun(p, p, {x: x for x in p})
-
-
-def ord_compose(g: OrdFun, f: OrdFun) -> OrdFun:
-    if f.cod != g.dom:
-        raise ValueError("composition mismatch")
-    return OrdFun(f.dom, g.cod, {x: g(f(x)) for x in f.dom})
-
-
 # ---------------------------------------------------------- upper monad
-
-def smyth_le(p: FinPoset, e, f) -> bool:
-    """E below F: the upper set of E contains that of F."""
-    return all(any(p.le(x, y) for x in e) for y in f)
-
 
 def _antichains(p: FinPoset):
     out = []
@@ -241,33 +219,6 @@ def upper_monad() -> MonadInstance:
     )
 
 
-@dataclass(frozen=True)
-class UpperSet:
-    """An upper set of a poset, presented by its minimal generators."""
-
-    poset: FinPoset
-    antichain: frozenset
-
-    def __post_init__(self):
-        if not self.antichain:
-            raise ValueError("upper sets here are nonempty")
-        for x in self.antichain:
-            if x not in self.poset:
-                raise ValueError(f"generator {x!r} outside the carrier")
-        if not self.poset.is_antichain(self.antichain):
-            raise ValueError("generators must be pairwise incomparable")
-
-    def elements(self) -> frozenset:
-        return self.poset.upset(self.antichain)
-
-    def __contains__(self, x):
-        return any(self.poset.le(g, x) for g in self.antichain)
-
-
-def upper_set(poset: FinPoset, xs) -> UpperSet:
-    return UpperSet(poset, poset.minimize(xs))
-
-
 # ------------------------------------------------------- factorizations
 
 SYSTEMS = ("epi-regmono", "extremalepi-mono")
@@ -280,9 +231,6 @@ class OrdFactorization:
     mono: OrdFun
     system: str
 
-    def compose(self) -> OrdFun:
-        return ord_compose(self.mono, self.epi)
-
 
 def factorize_ord(f: OrdFun, system: str) -> OrdFactorization:
     """Image factorization in the chosen system.
@@ -290,51 +238,21 @@ def factorize_ord(f: OrdFun, system: str) -> OrdFactorization:
     epi-regmono: the image carries the codomain's order restricted to
     it, making the second leg an embedding.  extremalepi-mono: the
     image carries the smallest order containing the pushed-forward
-    domain order, making the first leg a quotient; if antisymmetry
-    failed (impossible for monotone maps into a poset, kept for safety)
-    the image is further quotiented by the induced equivalence.
+    domain order, making the first leg a quotient.  That order is
+    antisymmetric because it lies inside the codomain's order: f is
+    monotone, so every pushed pair is a pair of the codomain.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; pick one of {SYSTEMS}")
-    img = sorted(f.image(), key=atom_key)
+    img = f.image()
     if system == "epi-regmono":
         leq = [(u, v) for u in img for v in img if f.cod.le(u, v)]
-        mid = FinPoset(FinSet(img), leq)
     else:
-        pushed = {(f(x), f(y)) for x, y in f.dom.pairs}
-        mid = _generated_poset(img, pushed)
+        leq = {(f(x), f(y)) for x, y in f.dom.pairs}
+    mid = FinPoset(FinSet(img), leq)
     epi = OrdFun(f.dom, mid, {x: f(x) for x in f.dom})
     mono = OrdFun(mid, f.cod, {u: u for u in mid})
     return OrdFactorization(epi, mid, mono, system)
-
-
-def _generated_poset(img, pushed) -> FinPoset:
-    # transitive closure of the pushed pairs; on a cycle, collapse the
-    # strongly connected elements (cannot happen for poset codomains)
-    index = {u: i for i, u in enumerate(img)}
-    succ = [1 << i for i in range(len(img))]
-    for u, v in pushed:
-        succ[index[u]] |= 1 << index[v]
-    for k in range(len(img)):
-        reach_k = succ[k]
-        bit = 1 << k
-        for i in range(len(img)):
-            if succ[i] & bit:
-                succ[i] |= reach_k
-    rel = {(img[i], img[j])
-           for i in range(len(img)) for j in range(len(img))
-           if succ[i] >> j & 1}
-    cyclic = [(u, v) for u, v in rel if u != v and (v, u) in rel]
-    if not cyclic:
-        return FinPoset(FinSet(img), rel)
-    rep = {}
-    for u in img:
-        cls = sorted((v for v in img if (u, v) in rel and (v, u) in rel),
-                     key=atom_key)
-        rep[u] = cls[0]
-    carrier = sorted(set(rep.values()), key=atom_key)
-    leq = {(rep[u], rep[v]) for u, v in rel}
-    return FinPoset(FinSet(carrier), leq)
 
 
 # -------------------------------------------------- lifting over posets

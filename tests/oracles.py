@@ -102,3 +102,11 @@ def brute_closure(atoms, leq):
                     rel.add((a, c))
                     changed = True
     return rel
+
+
+def smyth_le(p, e, f):
+    """E below F in the Smyth order: the upper set generated by E
+    contains the one generated by F."""
+    def up(xs):
+        return {y for y in p for x in xs if p.le(x, y)}
+    return up(f) <= up(e)

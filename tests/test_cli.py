@@ -221,6 +221,12 @@ def test_prob_bisim_pass_fail_and_counterexample(capsys, j):
     parsed = json.loads(out)
     assert parsed["bisimulation"] is False
     assert parsed["counterexample"]["pair"] == ["s", "s'"]
+    # a step in the {"weights": ...} form takes the system's mode
+    sub = {"states": ["s"], "labels": ["l"], "mode": "subprobability",
+           "step": {"s|l": {"weights": {"s": "1/2"}}}}
+    code, out, _ = run(capsys, "prob-bisim", "--sys1", j("s1.json", sub),
+                       "--sys2", j("s2.json", sub))
+    assert code == 0 and "bisimulation" in out
 
 
 def test_max_bisim_auto_detects_plts(capsys, j):
@@ -291,6 +297,20 @@ def test_basic_lemma_rejects_ill_typed_term(capsys, j):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["--count", "0"], "--count"),
+    (["--count", "-1"], "--count"),
+    (["--max-size", "0"], "--max-size"),
+    (["--samples", "5"], "--samples"),
+])
+def test_basic_lemma_rejects_vacuous_flags(capsys, j, argv, needle):
+    code, out, err = run(capsys, "basic-lemma",
+                         "--model1", j("m1.json", MODEL),
+                         "--model2", j("m2.json", MODEL), *argv)
+    assert code == 2 and needle in err
+    assert "related" not in out
+
+
 # ------------------------------------------------------------ poset-lift
 
 def test_poset_lift_both_systems(capsys, j):
@@ -335,11 +355,21 @@ def test_bad_json_reports_location(capsys, tmp_path):
                 "--nu1": {"weights": [["1", "1"]]},
                 "--nu2": {"weights": {"a": "1"}}}),
     ("max-bisim", {"--sys1": {}, "--sys2": {}}),
+    ("lift", {"--S": dict(STAIR, pairs=5)}),
+    ("lift", {"--S": dict(STAIR, pairs=[[1, "a"]])}),
+    ("poset-lift", {"--rel": {"left": {"carrier": ["a"], "leq": 7},
+                              "right": {"carrier": ["a"]},
+                              "pairs": [["a", "a"]]}}),
+    ("poset-lift", {"--rel": {"left": {"carrier": ["a"]},
+                              "right": {"carrier": ["a"]},
+                              "pairs": [["a", "a"]], "order": 5}}),
 ])
 def test_malformed_input_shapes_exit_2(capsys, j, command, files):
     argv = [command]
     if command == "member":
         argv += ["--monad", "dist"]
+    if command == "lift":
+        argv += ["--monad", "powerset"]
     for flag, obj in files.items():
         argv += [flag, j(flag.strip("-") + ".json", obj)]
     code, _, err = run(capsys, *argv)

@@ -5,7 +5,7 @@ import pytest
 from monarel import FinSet, LawReport, RatDist, Rel
 from monarel.jsonio import (MONAD_NAMES, finset_json, load_base_rels,
                             load_classes, load_finset, load_fraction,
-                            load_fun, load_lts, load_model, load_ordered_rel,
+                            load_lts, load_model, load_ordered_rel,
                             load_plts, load_poset, load_ratdist, load_rel,
                             load_tagged, monad_by_name, ordered_rel_json,
                             poset_json, rel_json, report_json, value_json)
@@ -20,13 +20,6 @@ def test_finset_round_trip():
         load_finset("ab")
     with pytest.raises(ValueError):
         load_finset(["a", 3])
-
-
-def test_fun_loader():
-    f = load_fun({"dom": ["1"], "cod": ["a"], "map": {"1": "a"}})
-    assert f("1") == "a"
-    with pytest.raises(ValueError):
-        load_fun({"dom": ["1"], "cod": ["a"], "map": {}})
 
 
 def test_rel_round_trip():

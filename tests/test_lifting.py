@@ -7,10 +7,10 @@ import pytest
 import oracles
 from test_lawcheck import mutant_powerset
 
-from monarel import (FinSet, FinFun, RatDist, Rel, converse_coupling,
+from monarel import (FinSet, RatDist, Rel, converse_coupling,
                      dist_monad, is_saturated, lift_enumerate,
                      lift_member_dist, lift_member_dist_saturated,
-                     lift_member_powerset, lifted_morphism, lifted_mult_check,
+                     lift_member_powerset, lifted_mult_check,
                      lifted_strength_check, lifted_unit_check,
                      nonempty_powerset_monad, powerset_monad, random_dist,
                      saturate, subsets, upper_monad)
@@ -303,29 +303,6 @@ def test_converse_coupling_rejects_unbalanced_classes():
     nu2 = RatDist({"a": F(1, 2), "b": F(1, 2)}, "probability")
     with pytest.raises(ValueError):
         converse_coupling(nu1, nu2, saturate(s)[1])
-
-
-def test_lifted_morphism_induced_map():
-    t = powerset_monad()
-    s = Rel(A12, AB, [("1", "a"), ("2", "b")])
-    s2 = Rel(FinSet(["x"]), FinSet(["y"]), [("x", "y")])
-    h1 = FinFun(A12, FinSet(["x"]), {"1": "x", "2": "x"})
-    h2 = FinFun(AB, FinSet(["y"]), {"a": "y", "b": "y"})
-    chk = lifted_morphism(t, s, s2, h1, h2)
-    assert chk.ok
-    assert chk.induced is not None
-    assert chk.induced((frozenset({"1"}), frozenset({"a"}))) == \
-        (frozenset({"x"}), frozenset({"y"}))
-
-
-def test_lifted_morphism_rejects_nonmorphic_pair():
-    t = powerset_monad()
-    s = Rel(A12, AB, [("1", "a")])
-    s2 = Rel(FinSet(["x", "z"]), FinSet(["y", "w"]), [("z", "w")])
-    h1 = FinFun(A12, s2.left, {"1": "x", "2": "x"})
-    h2 = FinFun(AB, s2.right, {"a": "y", "b": "y"})
-    with pytest.raises(ValueError):
-        lifted_morphism(t, s, s2, h1, h2)
 
 
 # ------------------------------------------------------- lifted laws

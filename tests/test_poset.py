@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from monarel import (FinPoset, ORD_UNIT, OrdFun, OrderedRel, SYSTEMS,
-                     UpperSet, chain, discrete, factorize_ord,
-                     lift_relation_ord, ord_compose, ord_identity,
-                     ord_product, smyth_le, subsets, upper_monad, upper_set)
+from monarel import (FinPoset, OrdFun, OrderedRel, SYSTEMS, chain, discrete,
+                     factorize_ord, lift_relation_ord, ord_product, subsets,
+                     upper_monad)
 
 
 def fs(*xs):
@@ -52,7 +51,6 @@ def test_poset_closure_matches_brute_force(seed):
 def test_minimize_upset_antichain():
     p = chain(["0", "1", "2"])
     assert p.minimize(["0", "1", "2"]) == fs("0")
-    assert p.upset(["1"]) == fs("1", "2")
     assert p.is_antichain(["1"])
     assert not p.is_antichain(["0", "1"])
     d = discrete(["a", "b"])
@@ -67,7 +65,6 @@ def test_chain_discrete_product_unit():
     pr = ord_product(c, d)
     assert pr.le(("0", "a"), ("1", "a"))
     assert not pr.le(("0", "a"), ("1", "b"))
-    assert list(ORD_UNIT) == ["*"]
 
 
 def test_poset_equality_and_hash():
@@ -96,23 +93,35 @@ def test_ordfun_requires_totality_and_codomain():
         OrdFun(c, c, {"0": "0", "1": "z"})
 
 
-def test_ord_compose_and_identity():
-    c = chain(["0", "1"])
-    f = ord_identity(c)
-    g = ord_compose(f, f)
-    assert g.mapping == f.mapping
-    d = discrete(["a"])
-    with pytest.raises(ValueError):
-        ord_compose(OrdFun(d, d, {"a": "a"}), f)
-
-
 # ------------------------------------------------------------ upper monad
 
+def all_posets(max_points):
+    """Every poset on x0..x(n-1) for 1 <= n <= max_points, once each."""
+    for n in range(1, max_points + 1):
+        atoms = [f"x{i}" for i in range(n)]
+        strict = [(a, b) for a in atoms for b in atoms if a != b]
+        for leq in subsets(strict):
+            closed = oracles.brute_closure(atoms, leq)
+            if closed - {(a, a) for a in atoms} == leq and all(
+                    (b, a) not in closed for a, b in leq):
+                yield FinPoset(atoms, leq)
+
+
 def test_smyth_on_the_two_chain():
-    p = chain(["0", "1"])
-    assert smyth_le(p, fs("0"), fs("1"))  # upset of 0 contains upset of 1
-    assert not smyth_le(p, fs("1"), fs("0"))
-    assert smyth_le(p, fs("0"), fs("0"))
+    # the upper-set monad's carrier is every nonempty antichain, ordered
+    # by the Smyth order, on every poset with at most three points
+    t = upper_monad()
+    posets = mismatches = 0
+    for p in all_posets(3):
+        posets += 1
+        chains = [xs for xs in subsets(p.carrier) if xs and all(
+            not p.le(x, y) for x in xs for y in xs if x != y)]
+        smyth = {(e, f) for e in chains for f in chains
+                 if oracles.smyth_le(p, e, f)}
+        ta = t.apply(p)
+        if set(ta) != set(chains) or ta.pairs != smyth:
+            mismatches += 1
+    assert (posets, mismatches) == (23, 0)
 
 
 def test_upper_values_on_the_two_chain():
@@ -153,23 +162,12 @@ def test_upper_mediator_of_antichains_is_an_antichain():
     assert ord_product(d, d).is_antichain(med)
 
 
-def test_upper_set_wrapper_validates():
-    p = chain(["0", "1"])
-    u = upper_set(p, ["0", "1"])
-    assert u.antichain == fs("0")
-    assert "1" in u and "0" in u
-    with pytest.raises(ValueError):
-        UpperSet(p, fs())
-    with pytest.raises(ValueError):
-        UpperSet(p, fs("0", "1"))
-
-
 # ---------------------------------------------------------- factorization
 
 def test_factorize_identity_is_trivial():
     c = chain(["0", "1"])
     for sysname in SYSTEMS:
-        fac = factorize_ord(ord_identity(c), sysname)
+        fac = factorize_ord(OrdFun(c, c, {x: x for x in c}), sysname)
         assert fac.mid == c
         assert fac.epi.mapping == fac.mono.mapping == {"0": "0", "1": "1"}
 
@@ -216,7 +214,7 @@ def test_factorize_recomposes_and_middle_is_the_image():
         for sysname in SYSTEMS:
             fac = factorize_ord(f, sysname)
             assert set(fac.mid) == set(f.image())
-            assert fac.compose().mapping == f.mapping
+            assert {x: fac.mono(fac.epi(x)) for x in dom} == f.mapping
             # first leg surjective onto the middle
             assert set(fac.epi.mapping.values()) == set(fac.mid)
             # second leg injective and monotone into the codomain
@@ -234,7 +232,8 @@ def test_factorize_recomposes_and_middle_is_the_image():
 
 def test_factorize_unknown_system():
     with pytest.raises(ValueError):
-        factorize_ord(ord_identity(ORD_UNIT), "epi-mono")
+        pt = FinPoset(["*"])
+        factorize_ord(OrdFun(pt, pt, {"*": "*"}), "epi-mono")
 
 
 # -------------------------------------------------------------- OrderedRel
