@@ -64,6 +64,8 @@ def cmd_check_laws(args):
     t = _monad(args)
     if args.max_size < 0:
         raise _Usage("--max-size must be at least 0")
+    if args.samples < 1:
+        raise _Usage("--samples must be at least 1")
     cat = ORD if t.category == "ord" else SET
     try:
         sets = cat.default_sets(args.max_size)
@@ -316,6 +318,13 @@ def _parse_ctx(src):
     return ctx
 
 
+def _basic_lemma(m1, m2, base, ctx, t):
+    try:
+        return basic_lemma_check(m1, m2, base, ctx, t)
+    except ValueError as e:
+        raise _Usage(str(e))
+
+
 def cmd_basic_lemma(args):
     m1, m2, base = _models_and_base(args)
     ctx = _parse_ctx(args.ctx)
@@ -330,7 +339,7 @@ def cmd_basic_lemma(args):
             typecheck(ctx, t)
         except (ParseError, TypecheckError) as e:
             raise _Usage(f"{args.term}: {e}")
-        rep = basic_lemma_check(m1, m2, base, ctx, t)
+        rep = _basic_lemma(m1, m2, base, ctx, t)
         if args.json:
             _emit(args, {"term": term_str(t), "report": jsonio.report_json(rep)})
         else:
@@ -359,7 +368,7 @@ def cmd_basic_lemma(args):
         t = synthesize(rng, ctx, ty, args.max_size)
         if t is None:
             continue
-        rep = basic_lemma_check(m1, m2, base, ctx, t)
+        rep = _basic_lemma(m1, m2, base, ctx, t)
         checked += 1
         if not rep.ok:
             failures.append((t, rep))

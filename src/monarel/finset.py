@@ -8,6 +8,7 @@ a total order, so equal objects always have identical representations.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 
 def atom_key(a):
@@ -40,10 +41,12 @@ class FinSet:
     __slots__ = ("elements", "_index")
 
     def __init__(self, elements):
-        elems = tuple(sorted(elements, key=atom_key))
-        for x, y in zip(elems, elems[1:]):
-            if atom_key(x) == atom_key(y):
+        keyed = sorted(((atom_key(a), a) for a in elements),
+                       key=itemgetter(0))
+        for (kx, x), (ky, _) in zip(keyed, keyed[1:]):
+            if kx == ky:
                 raise ValueError(f"duplicate atom {atom_str(x)!r}")
+        elems = tuple(a for _, a in keyed)
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_index", frozenset(elems))
 

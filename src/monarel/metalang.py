@@ -11,7 +11,9 @@ fundamental property on concrete terms.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .finset import FinSet, Rel, UNIT, UNIT_ATOM, atom_key, product_set
 from .lawcheck import LawReport
@@ -430,26 +432,90 @@ def typecheck(ctx, t: Tm) -> Ty:
 
 # ------------------------------------------------------------- semantics
 
+# denote builds every carrier inside a type, and the lifting at a T-type
+# walks T over the pairs of the relation under it; beyond this many
+# elements either step takes more than seconds
+MAX_CARRIER = 1024
+
+
 @dataclass(frozen=True)
 class Model:
-    """An enumerable monad together with carriers for the base types."""
+    """An enumerable monad together with carriers for the base types.
+
+    The base mapping is copied and read-only, so the carriers denote
+    caches per type stay valid.
+    """
 
     monad: MonadInstance
-    base: dict
+    base: Mapping
+    _carriers: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
-        if not self.monad.enumerable:
+        if not self.monad.enumerable or self.monad.category != "set":
             raise ValueError(
-                f"metalanguage models need an enumerable monad, "
+                f"metalanguage models need an enumerable monad on sets, "
                 f"got {self.monad.name}")
+        object.__setattr__(self, "base", MappingProxyType(dict(self.base)))
+
+
+def _t_size(monad: MonadInstance, n: int) -> int:
+    # the enumerable set monads are the powersets: T over n atoms has 2^n
+    # values, one fewer when the empty set is not a value (then T over
+    # one atom has one value, not two)
+    return 2 ** n - 2 + len(monad.apply(UNIT))
+
+
+def _within_limit(what: str, n: int) -> int:
+    if n > MAX_CARRIER:
+        shown = n if n < 10 ** 9 else f"about 2^{n.bit_length() - 1}"
+        raise ValueError(f"{what} has {shown} elements, more than the "
+                         f"limit of {MAX_CARRIER}")
+    return n
+
+
+def carrier_size(model: Model, ty: Ty) -> int:
+    """The number of elements of denote(model, ty), computed from the type.
+
+    Raises ValueError when that carrier, or one inside it, has more than
+    MAX_CARRIER elements.
+    """
+    if isinstance(ty, Base):
+        n = len(_base_carrier(model, ty))
+    elif isinstance(ty, UnitTy):
+        n = 1
+    elif isinstance(ty, Prod):
+        n = carrier_size(model, ty.left) * carrier_size(model, ty.right)
+    elif isinstance(ty, Arrow):
+        n = carrier_size(model, ty.cod) ** carrier_size(model, ty.dom)
+    elif isinstance(ty, TTy):
+        n = _t_size(model.monad, carrier_size(model, ty.arg))
+    else:
+        raise ValueError(f"not a type: {ty!r}")
+    return _within_limit(f"the carrier of {ty}", n)
+
+
+def _base_carrier(model: Model, ty: Base) -> FinSet:
+    if ty.name not in model.base:
+        raise ValueError(f"unknown base type {ty.name!r}")
+    return model.base[ty.name]
 
 
 def denote(model: Model, ty: Ty) -> FinSet:
-    """The carrier of values at a type; functions appear as graphs."""
+    """The carrier of values at a type; functions appear as graphs.
+
+    Each model builds a carrier once and keeps it.
+    """
+    carriers = model._carriers
+    if ty not in carriers:
+        carrier_size(model, ty)
+        carriers[ty] = _build_carrier(model, ty)
+    return carriers[ty]
+
+
+def _build_carrier(model: Model, ty: Ty) -> FinSet:
     if isinstance(ty, Base):
-        if ty.name not in model.base:
-            raise ValueError(f"unknown base type {ty.name!r}")
-        return model.base[ty.name]
+        return _base_carrier(model, ty)
     if isinstance(ty, UnitTy):
         return UNIT
     if isinstance(ty, Prod):
@@ -462,9 +528,7 @@ def denote(model: Model, ty: Ty) -> FinSet:
             for outs in itertools.product(cod, repeat=len(dom))
         ]
         return FinSet(graphs)
-    if isinstance(ty, TTy):
-        return model.monad.apply(denote(model, ty.arg))
-    raise ValueError(f"not a type: {ty!r}")
+    return model.monad.apply(denote(model, ty.arg))
 
 
 def _env_value(env):
@@ -542,20 +606,55 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
     if isinstance(ty, Arrow):
         rd = logical_relation(model1, model2, base_rels, ty.dom)
         rc = logical_relation(model1, model2, base_rels, ty.cod)
-        fs1 = denote(model1, ty)
-        fs2 = denote(model2, ty)
-        pairs = set()
-        for f in fs1:
-            fd = dict(f)
-            for g in fs2:
-                gd = dict(g)
-                if all((fd[a1], gd[a2]) in rc.pairs for a1, a2 in rd.pairs):
-                    pairs.add((f, g))
-        return Rel(fs1, fs2, pairs)
+        return _arrow_relation(model1, model2, ty, rd, rc)
     if isinstance(ty, TTy):
         inner = logical_relation(model1, model2, base_rels, ty.arg)
+        carrier_size(model1, ty)
+        carrier_size(model2, ty)
+        _within_limit(f"T over the {len(inner)} pairs lifted at {ty}",
+                      _t_size(model1.monad, len(inner)))
         return lift_enumerate(model1.monad, inner)
     raise ValueError(f"not a type: {ty!r}")
+
+
+def _arrow_relation(model1: Model, model2: Model, ty: Arrow, rd: Rel,
+                    rc: Rel) -> Rel:
+    """Pairs (f, g) of graphs with (f a1, g a2) in rc whenever (a1, a2) is
+    in rd.
+
+    For each f this constrains g pointwise: at a2, g may take any value
+    related by rc to every f a1 with (a1, a2) in rd.  The related g are
+    the product of those sets, looked up among model2's graphs.
+    """
+    fs1 = denote(model1, ty)
+    fs2 = denote(model2, ty)
+    dom2 = denote(model2, ty.dom)
+    cod2 = frozenset(denote(model2, ty.cod))
+    graph2 = {}
+    for g in fs2:
+        gd = dict(g)
+        graph2[tuple(gd[a2] for a2 in dom2)] = g
+    rc_right = {}
+    for c1, c2 in rc.pairs:
+        rc_right.setdefault(c1, set()).add(c2)
+    rd_left = {}
+    for a1, a2 in rd.pairs:
+        rd_left.setdefault(a2, []).append(a1)
+    pairs = set()
+    for f in fs1:
+        fd = dict(f)
+        allowed = []
+        for a2 in dom2:
+            outs = cod2
+            for a1 in rd_left.get(a2, ()):
+                outs = outs & rc_right.get(fd[a1], frozenset())
+            if not outs:
+                break
+            allowed.append(outs)
+        else:
+            pairs.update((f, graph2[outs])
+                         for outs in itertools.product(*allowed))
+    return Rel(fs1, fs2, pairs)
 
 
 def basic_lemma_check(model1: Model, model2: Model, base_rels, ctx,

@@ -110,3 +110,16 @@ def smyth_le(p, e, f):
     def up(xs):
         return {y for y in p for x in xs if p.le(x, y)}
     return up(f) <= up(e)
+
+
+def arrow_relation_pairs(fs1, fs2, rd, rc):
+    """Graphs f, g related at an arrow type: every pair (a1, a2) in rd
+    goes to a pair (f a1, g a2) in rc.  Tests every f x g x rd triple."""
+    pairs = set()
+    for f in fs1:
+        fd = dict(f)
+        for g in fs2:
+            gd = dict(g)
+            if all((fd[a1], gd[a2]) in rc.pairs for a1, a2 in rd.pairs):
+                pairs.add((f, g))
+    return pairs

@@ -71,6 +71,7 @@ def test_check_laws_unknown_monad_exits_2(capsys):
     ("--monad", "nonempty-powerset", "--max-size", "0"),
     ("--monad", "dist", "--max-size", "0"),
     ("--monad", "powerset", "--max-size", "5"),
+    ("--monad", "dist", "--samples", "-3", "--max-size", "1"),
 ])
 def test_check_laws_without_cases_exits_2(capsys, argv):
     code, out, err = run(capsys, "check-laws", *argv)
@@ -311,6 +312,18 @@ def test_basic_lemma_rejects_vacuous_flags(capsys, j, argv, needle):
     assert "related" not in out
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("logrel", ["--type", "T(b->b)->b"]),
+    ("basic-lemma", ["--ctx", "f:T(b->b)->b", "--count", "1"]),
+])
+def test_oversized_carriers_exit_2(capsys, j, command, argv):
+    # the function space T (b -> b) -> b has 2^16 graphs
+    code, out, err = run(capsys, command, "--model1", j("m1.json", MODEL),
+                         "--model2", j("m2.json", MODEL), *argv)
+    assert code == 2 and "T (b -> b) -> b has 65536 elements" in err
+    assert out == ""
+
+
 # ------------------------------------------------------------ poset-lift
 
 def test_poset_lift_both_systems(capsys, j):
@@ -543,7 +556,54 @@ def _bisim_argv(draw, command):
     return flags, files
 
 
+def _models(draw):
+    """Two model files and a base relation file (or none: diagonals)."""
+    monad = draw(st.sampled_from(["powerset"] * 3 + ["nonempty-powerset",
+                                                       "dist", "upper"]))
+    left, right = _carrier(draw), _carrier(draw)
+    files = {"--model1": _mostly(draw, {"monad": monad, "base": {"b": left}}),
+             "--model2": _mostly(draw, {"monad": monad, "base": {"b": right}})}
+    if draw(st.booleans()):
+        files["--base"] = _mostly(draw, {"b": _rel(draw, left, right)})
+    return files
+
+
+def _type_src(draw, small):
+    """Source of a type; now and then oversized, unknown or malformed."""
+    if _rarely(draw):
+        return draw(st.sampled_from(["T (b -> b) -> b", "c", "b ->", "T"]))
+    return draw(st.sampled_from(small))
+
+
+@st.composite
+def _logrel_argv(draw):
+    ty = _type_src(draw, ["b", "Unit", "T b", "b * Unit", "b -> b",
+                          "b -> T b", "T b -> T b", "(b -> b) -> b"])
+    return ["--type", ty], _models(draw)
+
+
+@st.composite
+def _basic_lemma_argv(draw):
+    files = _models(draw)
+    ctx = draw(st.lists(st.sampled_from(["x:b", "m:T b", "u:Unit"]),
+                        max_size=2, unique=True))
+    if _rarely(draw):
+        ctx.append("f:" + _type_src(draw, ["b -> b"]))
+    flags = ["--ctx", ", ".join(ctx)]
+    if draw(st.booleans()):
+        files["--term"] = draw(st.sampled_from(
+            ["let val y = m in val (y, x)", "val x", "\\y:b. val y",
+             "(\\y:T b. y) (val x)", "x x", "let val y = x in", "val ()"]))
+    else:
+        flags += ["--count", str(draw(st.integers(0, 3))),
+                  "--max-size", str(draw(st.integers(0, 6))),
+                  "--seed", str(draw(st.integers(0, 9)))]
+    return flags, files
+
+
 FUZZ = {
+    "logrel": (_logrel_argv(), None),
+    "basic-lemma": (_basic_lemma_argv(), "NOT related"),
     "member": (_member_argv(), "not a member"),
     "bisim": (_bisim_argv("bisim"), "not a bisimulation"),
     "prob-bisim": (_bisim_argv("prob-bisim"), "not a bisimulation"),
@@ -565,7 +625,8 @@ def test_generated_inputs_keep_the_exit_code_promise(command, data):
         for flag, obj in files.items():
             path = os.path.join(tmp, flag.strip("-") + ".json")
             with open(path, "w") as fh:
-                json.dump(obj, fh)
+                # term files hold source text, every other file JSON
+                fh.write(obj if flag == "--term" else json.dumps(obj))
             argv += [flag, path]
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)

@@ -3,13 +3,15 @@ import random
 
 import pytest
 
+import oracles
 from monarel import (FinSet, Model, ParseError, Rel, TypecheckError,
                      basic_lemma_check, denote, dist_monad, eval_term,
                      logical_relation, nonempty_powerset_monad, parse,
                      parse_ty, powerset_monad, synthesize, term_size,
-                     term_str, typecheck)
+                     term_str, typecheck, upper_monad)
 from monarel.metalang import (Abs, App, Arrow, Base, Fst, Let, PairTm, Prod,
-                              Snd, TTy, UnitTm, UnitTy, Val, Var)
+                              Snd, TTy, UnitTm, UnitTy, Val, Var,
+                              carrier_size)
 
 B = FinSet(["a0", "a1"])
 MODEL = Model(powerset_monad(), {"b": B})
@@ -129,6 +131,45 @@ def test_denote_sizes():
 def test_model_rejects_non_enumerable_monads():
     with pytest.raises(ValueError):
         Model(dist_monad("probability"), {"b": B})
+    # the upper-set monad is enumerable, but on posets
+    with pytest.raises(ValueError):
+        Model(upper_monad(), {"b": B})
+
+
+def test_model_base_is_a_read_only_copy():
+    t = powerset_monad()
+    base = {"b": B}
+    model = Model(t, base)
+    graphs = denote(model, parse_ty("b -> b"))
+    base["b"] = FinSet(["z"])
+    base["c"] = B
+    assert model.base == {"b": B}
+    assert denote(model, parse_ty("b -> b")) is graphs and len(graphs) == 4
+    with pytest.raises(ValueError):
+        denote(model, parse_ty("c"))
+    with pytest.raises(TypeError):
+        model.base["b"] = FinSet(["z"])
+    assert model == Model(t, {"b": B})
+    assert model != Model(t, {"b": FinSet(["z"])})
+
+
+@pytest.mark.parametrize("monad", [powerset_monad, nonempty_powerset_monad])
+def test_carrier_size_matches_the_built_carrier(monad):
+    model = Model(monad(), {"b": B, "e": FinSet([])})
+    for src in ("b", "Unit", "e", "T e", "b * T b", "T (T b)", "e -> b",
+                "b -> e", "T b -> T b", "(b -> b) -> b", "b * Unit -> T b"):
+        ty = parse_ty(src)
+        assert carrier_size(model, ty) == len(denote(model, ty)), src
+
+
+def test_oversized_carriers_are_refused_before_they_are_built():
+    with pytest.raises(ValueError, match=r"T \(b -> b\) -> b has 65536 "):
+        denote(MODEL, parse_ty("T (b -> b) -> b"))
+    # the carriers of T (b * b) have 16 values, but lifting the full
+    # relation walks T over its 16 pairs
+    full = Rel(B, B, itertools.product(B, B))
+    with pytest.raises(ValueError, match=r"16 pairs .* has 65536 "):
+        logical_relation(MODEL, MODEL, {"b": full}, parse_ty("T (b * b)"))
 
 
 def test_eval_identity_application():
@@ -206,6 +247,34 @@ def test_logical_relation_arrow_matches_brute_filter():
         if all((f1[x], f2[y]) in rel.pairs for x, y in rel.pairs):
             want.add((g1, g2))
     assert got.pairs == want
+
+
+ARROW_TYPES = ["b -> b", "b -> T b", "T b -> T b", "(b -> b) -> b",
+               "b -> b -> b", "b * Unit -> T b"]
+
+
+@pytest.mark.parametrize("monad", [powerset_monad, nonempty_powerset_monad])
+@pytest.mark.parametrize("right", [["z0"], ["z0", "z1"]])
+def test_arrow_clause_matches_the_triple_loop(monad, right):
+    left = FinSet(["a0", "a1"])
+    right = FinSet(right)
+    m1 = Model(monad(), {"b": left})
+    m2 = Model(monad(), {"b": right})
+    cells = list(itertools.product(left, right))
+    for src in ARROW_TYPES:
+        ty = parse_ty(src)
+        fs1, fs2 = denote(m1, ty), denote(m2, ty)
+        graphs2 = {id(g) for g in fs2}
+        for k in range(len(cells) + 1):
+            for picked in itertools.combinations(cells, k):
+                base = {"b": Rel(left, right, picked)}
+                got = logical_relation(m1, m2, base, ty)
+                rd = logical_relation(m1, m2, base, ty.dom)
+                rc = logical_relation(m1, m2, base, ty.cod)
+                assert got.pairs == oracles.arrow_relation_pairs(
+                    fs1, fs2, rd, rc), (src, picked)
+                # the related graphs are model2's own, not rebuilt copies
+                assert all(id(g) in graphs2 for _, g in got.pairs)
 
 
 def test_logical_relation_computation_clause_is_the_lifted_relation():
