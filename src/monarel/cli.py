@@ -20,8 +20,8 @@ from .finset import Rel, atom_key, atom_str
 from .lawcheck import SET, check_cartesian, standard_battery
 from .lifting import lift_enumerate, lift_member_dist_saturated
 from .metalang import (ParseError, TTy, TypecheckError, basic_lemma_check,
-                       logical_relation, parse, parse_ty, synthesize, term_str,
-                       type_pool, typecheck)
+                       logical_relation, parse, parse_ty, synthesize, t_size,
+                       term_str, type_pool, typecheck, within_limit)
 from .poset import ORD, lift_relation_ord
 
 
@@ -96,6 +96,11 @@ def cmd_check_laws(args):
     return 0 if ok else 1
 
 
+# lift walks every value of T S, whose number doubles with each pair of
+# S: 12 pairs take about 0.07 s, 30 pairs would take hours
+MAX_LIFT = 4096
+
+
 def cmd_lift(args):
     t = _monad(args)
     if not t.enumerable:
@@ -104,6 +109,11 @@ def cmd_lift(args):
     if t.category == "ord":
         raise _Usage("use 'poset-lift' for the ordered monad")
     s = _load(args.S, jsonio.load_rel)
+    try:
+        within_limit(f"T S over {len(s.pairs)} pairs",
+                     t_size(t, len(s.pairs)), MAX_LIFT)
+    except ValueError as e:
+        raise _Usage(f"{args.S}: {e}")
     lifted = lift_enumerate(t, s)
     if args.json:
         _emit(args, {"monad": t.name, "lifted": jsonio.rel_json(lifted)})

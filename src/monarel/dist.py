@@ -6,6 +6,7 @@ distributions).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .finset import FinSet, atom_key, atom_str
 
@@ -37,18 +38,26 @@ class RatDist:
     def __init__(self, weights, mode: str, carrier: FinSet | None = None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        # the monad operations hand over Fractions they just computed:
+        # those are not rebuilt, and the mass is summed as integers over
+        # the least common denominator (den) of the weights
         cleaned = {}
+        den = 1
         for x, w in dict(weights).items():
-            w = Fraction(w)
-            if w < 0:
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            if w.numerator < 0:
                 raise ValueError(f"negative weight {w} at {x!r}")
-            if w != 0:
+            if w.numerator:
                 cleaned[x] = w
-        total = sum(cleaned.values(), Fraction(0))
-        if mode == "probability" and total != 1:
-            raise ValueError(f"probability mass {total} != 1")
-        if mode == "subprobability" and total > 1:
-            raise ValueError(f"subprobability mass {total} > 1")
+                den = lcm(den, w.denominator)
+        num = 0
+        for w in cleaned.values():
+            num += w.numerator * (den // w.denominator)
+        if mode == "probability" and num != den:
+            raise ValueError(f"probability mass {Fraction(num, den)} != 1")
+        if mode == "subprobability" and num > den:
+            raise ValueError(f"subprobability mass {Fraction(num, den)} > 1")
         if carrier is not None:
             for x in cleaned:
                 if x not in carrier:

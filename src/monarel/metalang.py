@@ -11,6 +11,7 @@ fundamental property on concrete terms.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -436,6 +437,11 @@ def typecheck(ctx, t: Tm) -> Ty:
 # walks T over the pairs of the relation under it; beyond this many
 # elements either step takes more than seconds
 MAX_CARRIER = 1024
+# basic_lemma_check evaluates the term in both models for every pair of
+# related environments, and that product of the context's relations is
+# not bounded by the carriers (two variables of type b -> T b over three
+# atoms give about 1.4e10 pairs)
+MAX_ENV_PAIRS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -459,18 +465,20 @@ class Model:
         object.__setattr__(self, "base", MappingProxyType(dict(self.base)))
 
 
-def _t_size(monad: MonadInstance, n: int) -> int:
+def t_size(monad: MonadInstance, n: int) -> int:
+    """The number of values of an enumerable monad over n elements."""
     # the enumerable set monads are the powersets: T over n atoms has 2^n
     # values, one fewer when the empty set is not a value (then T over
     # one atom has one value, not two)
     return 2 ** n - 2 + len(monad.apply(UNIT))
 
 
-def _within_limit(what: str, n: int) -> int:
-    if n > MAX_CARRIER:
+def within_limit(what: str, n: int, limit: int = MAX_CARRIER) -> int:
+    """n, or ValueError naming what has more than limit elements."""
+    if n > limit:
         shown = n if n < 10 ** 9 else f"about 2^{n.bit_length() - 1}"
         raise ValueError(f"{what} has {shown} elements, more than the "
-                         f"limit of {MAX_CARRIER}")
+                         f"limit of {limit}")
     return n
 
 
@@ -489,10 +497,10 @@ def carrier_size(model: Model, ty: Ty) -> int:
     elif isinstance(ty, Arrow):
         n = carrier_size(model, ty.cod) ** carrier_size(model, ty.dom)
     elif isinstance(ty, TTy):
-        n = _t_size(model.monad, carrier_size(model, ty.arg))
+        n = t_size(model.monad, carrier_size(model, ty.arg))
     else:
         raise ValueError(f"not a type: {ty!r}")
-    return _within_limit(f"the carrier of {ty}", n)
+    return within_limit(f"the carrier of {ty}", n)
 
 
 def _base_carrier(model: Model, ty: Base) -> FinSet:
@@ -611,8 +619,8 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
         inner = logical_relation(model1, model2, base_rels, ty.arg)
         carrier_size(model1, ty)
         carrier_size(model2, ty)
-        _within_limit(f"T over the {len(inner)} pairs lifted at {ty}",
-                      _t_size(model1.monad, len(inner)))
+        within_limit(f"T over the {len(inner)} pairs lifted at {ty}",
+                     t_size(model1.monad, len(inner)))
         return lift_enumerate(model1.monad, inner)
     raise ValueError(f"not a type: {ty!r}")
 
@@ -663,16 +671,17 @@ def basic_lemma_check(model1: Model, model2: Model, base_rels, ctx,
 
     Enumerates every pair of environments related pointwise by the
     logical relation at the context types and checks the two
-    denotations of t against the relation at its type.
+    denotations of t against the relation at its type.  Raises
+    ValueError when there are more than MAX_ENV_PAIRS such pairs.
     """
     ty = typecheck(ctx, t)
     rel = logical_relation(model1, model2, base_rels, ty)
     names = sorted(ctx)
-    var_rels = [
-        sorted(logical_relation(model1, model2, base_rels, ctx[x]).pairs,
-               key=atom_key)
-        for x in names
-    ]
+    pairs = [logical_relation(model1, model2, base_rels, ctx[x]).pairs
+             for x in names]
+    within_limit(f"the product of the relations at {', '.join(names)}",
+                 math.prod(map(len, pairs)), MAX_ENV_PAIRS)
+    var_rels = [sorted(p, key=atom_key) for p in pairs]
     cases = 0
     for choice in itertools.product(*var_rels):
         env1 = {x: p[0] for x, p in zip(names, choice)}

@@ -10,8 +10,6 @@ Egli-Milner for the powersets, coupling feasibility for distributions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 # the distribution values stay importable from here, next to their monad
 from .dist import MODES, RatDist, corner_dists, random_dist, value_key  # noqa: F401
 from .finset import FinSet, subsets
@@ -152,7 +150,7 @@ def dist_monad(mode: str = "probability") -> MonadInstance:
         out = {}
         for x, w in t.weights.items():
             y = fn(x)
-            out[y] = out.get(y, Fraction(0)) + w
+            out[y] = out[y] + w if y in out else w
         carrier = cod if isinstance(cod, FinSet) else None
         return RatDist(out, mode, carrier)
 
@@ -160,7 +158,7 @@ def dist_monad(mode: str = "probability") -> MonadInstance:
         out = {}
         for inner, w in tt.weights.items():
             for x, v in inner.weights.items():
-                out[x] = out.get(x, Fraction(0)) + w * v
+                out[x] = out[x] + w * v if x in out else w * v
         carrier = obj if isinstance(obj, FinSet) else None
         return RatDist(out, mode, carrier)
 

@@ -123,3 +123,26 @@ def arrow_relation_pairs(fs1, fs2, rd, rc):
             if all((fd[a1], gd[a2]) in rc.pairs for a1, a2 in rd.pairs):
                 pairs.add((f, g))
     return pairs
+
+
+def validated_weights(weights, mode, carrier=None):
+    """RatDist's checks done in Fraction arithmetic: every weight is
+    rebuilt as a Fraction and the mass is a Fraction sum.  Returns the
+    weights with zeros dropped and their total, or raises ValueError."""
+    cleaned = {}
+    for x, w in dict(weights).items():
+        w = Fraction(w)
+        if w < 0:
+            raise ValueError(f"negative weight {w} at {x!r}")
+        if w != 0:
+            cleaned[x] = w
+    total = sum(cleaned.values(), Fraction(0))
+    if mode == "probability" and total != 1:
+        raise ValueError(f"probability mass {total} != 1")
+    if mode == "subprobability" and total > 1:
+        raise ValueError(f"subprobability mass {total} > 1")
+    if carrier is not None:
+        for x in cleaned:
+            if x not in carrier:
+                raise ValueError(f"support element {x!r} outside the carrier")
+    return cleaned, total

@@ -1,14 +1,17 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
+from monarel import Rel
 from monarel.cli import main
 
 STAIR = {"left": ["1", "2"], "right": ["a", "b"],
@@ -37,6 +40,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class _Overran(Exception):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran("ran past its deadline")
+
+
+@contextmanager
+def deadline(seconds):
+    """Raises _Overran in the body once it has run for the given seconds
+    of wall-clock time, so an unbounded input fails instead of hanging."""
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def full_rel(left, right, n=None):
+    """The first n pairs (all by default) of left x right, as JSON."""
+    pairs = [[a, b] for a in left for b in right][:n]
+    return {"left": list(left), "right": list(right), "pairs": pairs}
 
 
 # ----------------------------------------------------------------- laws
@@ -98,6 +128,35 @@ def test_lift_json_shape(capsys, j):
     pairs = parsed["lifted"]["pairs"]
     assert [{"set": ["1"]}, {"set": ["a"]}] in pairs
     assert [{"set": []}, {"set": []}] not in pairs
+
+
+@pytest.mark.parametrize("monad", ["powerset", "nonempty-powerset"])
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_lift_walks_at_most_its_limit_of_values(capsys, j, monad, n):
+    # T S has 2^n values, one fewer for the nonempty powerset; the limit
+    # is 4096, so 12 pairs are the most lift accepts
+    rel = full_rel("1234", "abcd", n)
+    code, out, err = run(capsys, "lift", "--monad", monad,
+                         "--S", j("s.json", rel))
+    if n > 12:
+        assert code == 2 and f"T S over {n} pairs has" in err
+        assert "more than the limit of 4096" in err and out == ""
+        return
+    expect = oracles.powerset_lift_pairs(Rel(rel["left"], rel["right"],
+                                             map(tuple, rel["pairs"])))
+    if monad == "nonempty-powerset":
+        expect.discard((frozenset(), frozenset()))
+    assert code == 0
+    assert out.startswith(f"{len(expect)} related pairs over ")
+
+
+def test_lift_refuses_the_full_relation_between_6_and_5_atoms(capsys, j):
+    # 30 pairs: a walk of 2^30 values, which lift used to start
+    with deadline(5):
+        code, out, err = run(capsys, "lift", "--monad", "powerset", "--S",
+                             j("s.json", full_rel("123456", "abcde")))
+    assert code == 2 and out == ""
+    assert "T S over 30 pairs has about 2^30 elements" in err
 
 
 def test_lift_rejects_dist(capsys, j):
@@ -310,6 +369,20 @@ def test_basic_lemma_rejects_vacuous_flags(capsys, j, argv, needle):
                          "--model2", j("m2.json", MODEL), *argv)
     assert code == 2 and needle in err
     assert "related" not in out
+
+
+def test_basic_lemma_refuses_too_many_environment_pairs(capsys, j):
+    # b -> T b over three fully related atoms: 117,650 related pairs of
+    # graphs per variable, so about 1.4e10 pairs of environments
+    model = j("m.json", {"monad": "powerset", "base": {"b": ["a", "b", "c"]}})
+    with deadline(5):
+        code, out, err = run(
+            capsys, "basic-lemma", "--model1", model, "--model2", model,
+            "--base", j("base.json", {"b": full_rel("abc", "abc")}),
+            "--ctx", "f:b -> T b, g:b -> T b", "--term", j("t.ml", "val ()"))
+    assert code == 2 and out == ""
+    assert ("the product of the relations at f, g has about 2^33 elements, "
+            "more than the limit of 65536") in err
 
 
 @pytest.mark.parametrize("command,argv", [
@@ -601,7 +674,22 @@ def _basic_lemma_argv(draw):
     return flags, files
 
 
+@st.composite
+def _lift_argv(draw):
+    # carriers of up to 5 x 4 atoms, related in full or in part, so that
+    # S can have more pairs than lift accepts
+    rel = full_rel("12345"[:draw(st.integers(1, 5))],
+                   "abcd"[:draw(st.integers(1, 4))])
+    if draw(st.booleans()):
+        rel["pairs"] = [p for p in rel["pairs"] if draw(st.booleans())]
+    monad = draw(st.sampled_from(["powerset", "nonempty-powerset", "dist",
+                                  "upper"]))
+    flags = ["--monad", monad] + (["--json"] if draw(st.booleans()) else [])
+    return flags, {"--S": _mostly(draw, rel)}
+
+
 FUZZ = {
+    "lift": (_lift_argv(), None),
     "logrel": (_logrel_argv(), None),
     "basic-lemma": (_basic_lemma_argv(), "NOT related"),
     "member": (_member_argv(), "not a member"),
@@ -628,7 +716,7 @@ def test_generated_inputs_keep_the_exit_code_promise(command, data):
                 # term files hold source text, every other file JSON
                 fh.write(obj if flag == "--term" else json.dumps(obj))
             argv += [flag, path]
-        with redirect_stdout(out), redirect_stderr(err):
+        with deadline(5), redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

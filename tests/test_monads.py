@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monarel import (FinSet, RatDist, corner_dists, dist_monad,
+import oracles
+from monarel import (FinSet, RatDist, corner_dists, dist_monad, monads,
                      nonempty_powerset_monad, powerset_monad, random_dist,
                      value_key)
 
@@ -60,6 +61,87 @@ def test_corner_dists_cover_vertices():
     weights = [sorted(d.weights.items()) for d in cs]
     assert [("a", F(1))] in weights
     assert [("b", F(1))] in weights
+
+
+def _agrees_with_the_oracle(weights, mode, carrier=None):
+    """RatDist keeps the oracle's weights, in its order and as Fractions,
+    with its total, or raises its message.  Returns the outcome."""
+    try:
+        want, total = oracles.validated_weights(weights, mode, carrier)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            RatDist(weights, mode, carrier)
+        assert str(got.value) == str(e)
+        words = str(e).split()
+        if words[1] == "mass":
+            return f"{words[0]} {'below' if F(words[2]) < 1 else 'above'}"
+        return " ".join(words[:2])
+    nu = RatDist(weights, mode, carrier)
+    assert list(nu.weights.items()) == list(want.items())
+    assert all(type(w) is Fraction for w in nu.weights.values())
+    assert nu.total() == total
+    return f"{mode} {'exactly' if total == 1 else 'below'}"
+
+
+def _weights_of_every_form(rng, atoms):
+    """Fraction, int and str weights over atoms, with zeros, now and then
+    a negative one, and a mass of exactly 1 about half the time."""
+    d = rng.choice([1, 2, 3, 4, 6, 12])
+    if rng.random() < 0.5:
+        cuts = sorted(rng.randint(0, d) for _ in atoms[1:])
+        nums = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+    else:
+        nums = [rng.randint(0, d) for _ in atoms]
+    if atoms and rng.random() < 0.1:
+        nums[rng.randrange(len(nums))] = -rng.randint(1, d)
+    forms = [lambda n: F(n, d), lambda n: f"{n}/{d}",
+             lambda n: n // d if n % d == 0 else F(n, d)]
+    return {x: rng.choice(forms)(n) for x, n in zip(atoms, nums)}
+
+
+def test_ratdist_agrees_with_the_fraction_arithmetic_oracle():
+    rng = random.Random(6)
+    carrier = FinSet(["a", "b", "c"])
+    outcomes = set()
+    for _ in range(600):
+        atoms = rng.sample(["a", "b", "c", "z"], rng.randint(0, 4))
+        weights = _weights_of_every_form(rng, atoms)
+        for mode in ("probability", "subprobability"):
+            outcomes.add(_agrees_with_the_oracle(
+                weights, mode, rng.choice([carrier, None])))
+    assert outcomes == {
+        f"{mode} {mass}" for mode in ("probability", "subprobability")
+        for mass in ("exactly", "below", "above")
+    } | {"negative weight", "support element"}
+
+
+def test_dist_operations_build_what_the_oracle_accepts(monkeypatch):
+    outcomes = []
+
+    class Checked(RatDist):
+        __slots__ = ()
+
+        def __init__(self, weights, mode, carrier=None):
+            outcomes.append(_agrees_with_the_oracle(weights, mode, carrier))
+            super().__init__(weights, mode, carrier)
+
+    monkeypatch.setattr(monads, "RatDist", Checked)
+    rng = random.Random(7)
+    carrier = FinSet(["a", "b", "c"])
+    image = {"a": "x", "b": "x", "c": "y"}
+    for mode in ("probability", "subprobability"):
+        t = dist_monad(mode)
+        for _ in range(40):
+            nu, mu = (random_dist(rng, carrier, mode) for _ in range(2))
+            outer = random_dist(rng, [nu, mu, random_dist(rng, carrier, mode)],
+                                mode)
+            t.v_map(image.get, nu, FinSet(["x", "y"]))
+            t.v_mult(outer, carrier)
+            t.v_strength("p", nu)
+            t.v_mediator(nu, mu)
+    assert len(outcomes) == 320
+    assert set(outcomes) == {"probability exactly", "subprobability exactly",
+                             "subprobability below"}
 
 
 @given(st.integers(0, 10_000), st.integers(1, 4))
