@@ -80,8 +80,6 @@ from .metalang import (
 from .poset import (
     ORD,
     FinPoset,
-    OrdFactorization,
-    OrdFun,
     OrderedRel,
     SYSTEMS,
     chain,

@@ -100,6 +100,11 @@ def cmd_check_laws(args):
 # S: 12 pairs take about 0.07 s, 30 pairs would take hours
 MAX_LIFT = 4096
 
+# poset-lift applies the upper-set monad to both posets and to the
+# relation, each with up to 2^n - 1 antichains that the Smyth order
+# compares in pairs: 9 pairs take about 0.3 s, 12 pairs about 25 s
+MAX_POSET_LIFT = 9
+
 
 def cmd_lift(args):
     t = _monad(args)
@@ -404,6 +409,13 @@ def cmd_basic_lemma(args):
 
 def cmd_poset_lift(args):
     s = _load(args.rel, jsonio.load_ordered_rel)
+    try:
+        for what, n in (("the left poset", len(s.left)),
+                        ("the right poset", len(s.right)),
+                        ("the relation", len(s.pairs))):
+            within_limit(what, n, MAX_POSET_LIFT)
+    except ValueError as e:
+        raise _Usage(f"{args.rel}: {e}")
     systems = (["epi-regmono", "extremalepi-mono"]
                if args.system == "both" else [args.system])
     results = {name: lift_relation_ord(s, name) for name in systems}

@@ -1,7 +1,9 @@
 """Lifting a monad from carriers to binary relations.
 
 A relation S between A1 and A2 lifts to a relation between T A1 and
-T A2: the direct image of T S under the two pushforward projections.
+T A2: the direct image of T S under the two pushforward projections
+(T pi1, T pi2), which `project` computes for one value of T S.  The
+ordered lifting in poset.py is the same image with an order on it.
 For enumerable monads the lifted relation is materialized; membership
 is decided by Egli-Milner for the powersets and, for distributions, by
 exact integral max-flow (does a coupling with the given marginals live
@@ -27,18 +29,20 @@ if TYPE_CHECKING:
     from .monads import MonadInstance
 
 
+def project(t: MonadInstance, r, left=None, right=None) -> tuple:
+    """(T pi1 r, T pi2 r) for a value r of T over pairs; left and right
+    are the carriers the two pushforwards land in."""
+    return t.v_map(lambda p: p[0], r, left), t.v_map(lambda p: p[1], r, right)
+
+
 def lift_enumerate(t: MonadInstance, s: Rel) -> Rel:
     """The lifted relation over (T A1, T A2), materialized.
 
-    Pairs are exactly the images (fst-pushforward R, snd-pushforward R)
-    of elements R of T S.
+    Pairs are exactly the images project(R) of elements R of T S.
     """
     if not t.enumerable:
         raise ValueError(f"monad {t.name} is not enumerable")
-    pairs = {
-        (t.v_map(lambda p: p[0], r, s.left), t.v_map(lambda p: p[1], r, s.right))
-        for r in t.apply(s.as_finset())
-    }
+    pairs = {project(t, r, s.left, s.right) for r in t.apply(s.as_finset())}
     return Rel(t.apply(s.left), t.apply(s.right), pairs)
 
 
@@ -331,17 +335,11 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
                      "lhs": (m1, m2), "rhs": "member"}, seed)
         return LawReport("lifted-mult", True, cases, seed=seed)
     for _ in range(samples):
-        members = []
-        for nu in _sample_couplings(t, rng, s, rng.randint(1, 3)):
-            members.append((
-                t.v_map(lambda p: p[0], nu, s.left),
-                t.v_map(lambda p: p[1], nu, s.right),
-            ))
+        members = [project(t, nu, s.left, s.right)
+                   for nu in _sample_couplings(t, rng, s, rng.randint(1, 3))]
         if not members:
             break
-        outer = random_dist(rng, members, t.mode)
-        xi1 = t.v_map(lambda p: p[0], outer)
-        xi2 = t.v_map(lambda p: p[1], outer)
+        xi1, xi2 = project(t, random_dist(rng, members, t.mode))
         cases += 1
         m1 = t.v_mult(xi1)
         m2 = t.v_mult(xi2)
@@ -364,12 +362,8 @@ def lifted_strength_check(t: MonadInstance, s: Rel, s2: Rel, *,
         lifted2 = lift_enumerate(t, s2)
         related = sorted(lifted2.pairs, key=atom_key)
     else:
-        related = []
-        for nu in _sample_couplings(t, rng, s2, samples):
-            related.append((
-                t.v_map(lambda p: p[0], nu, s2.left),
-                t.v_map(lambda p: p[1], nu, s2.right),
-            ))
+        related = [project(t, nu, s2.left, s2.right)
+                   for nu in _sample_couplings(t, rng, s2, samples)]
     for a, b in sorted(s.pairs, key=atom_key):
         for w1, w2 in related:
             cases += 1

@@ -476,7 +476,7 @@ def t_size(monad: MonadInstance, n: int) -> int:
 def within_limit(what: str, n: int, limit: int = MAX_CARRIER) -> int:
     """n, or ValueError naming what has more than limit elements."""
     if n > limit:
-        shown = n if n < 10 ** 9 else f"about 2^{n.bit_length() - 1}"
+        shown = n if n < 10 ** 9 else f"about 2^{round(math.log2(n))}"
         raise ValueError(f"{what} has {shown} elements, more than the "
                          f"limit of {limit}")
     return n

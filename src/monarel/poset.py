@@ -1,21 +1,23 @@
-"""Finite posets, the upper-set monad, and two mono factorizations.
+"""Finite posets, the upper-set monad, and its lifting in two systems.
 
 The monad sends a poset to its nonempty antichains under the Smyth
 ordering (E below F when every generator of F sits above some generator
-of E); an antichain stands for the upper set it generates.  Monotone
-maps factor through their image in two ways: with the order inherited
-from the codomain (surjection followed by embedding) or with the order
-generated by pushing the domain order forward (quotient followed by an
-injective monotone map).  Lifting a relation through the monad under
-either system yields the same pairs; only the orderings may differ.
+of E); an antichain stands for the upper set it generates.  A relation
+lifts as it does over sets (lifting.py): the pairs are the image of
+T S under (T pi1, T pi2).  The two mono factorization systems differ
+only in the order they put on that image: the product order restricted
+to it (surjection followed by embedding), or the order generated by
+pushing the order of T S forward (quotient followed by an injective
+monotone map).  Either way the lifted pairs are the same; only the
+orderings may differ.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .finset import FinSet, atom_key, product_set, subsets
+from .lifting import project
 from .monads import MonadInstance
 
 
@@ -111,37 +113,6 @@ def ord_product(p: FinPoset, q: FinPoset) -> FinPoset:
     return FinPoset(carrier, leq)
 
 
-class OrdFun:
-    """A monotone map between finite posets."""
-
-    def __init__(self, dom: FinPoset, cod: FinPoset, mapping):
-        self.dom = dom
-        self.cod = cod
-        if callable(mapping) and not isinstance(mapping, dict):
-            mapping = {x: mapping(x) for x in dom}
-        self.mapping = dict(mapping)
-        for x in dom:
-            if x not in self.mapping:
-                raise ValueError(f"no image for {x!r}")
-            if self.mapping[x] not in cod:
-                raise ValueError(f"image of {x!r} outside the codomain")
-        if set(self.mapping) != set(dom.carrier):
-            raise ValueError("mapping domain does not match the carrier")
-        for x, y in dom.pairs:
-            if not cod.le(self.mapping[x], self.mapping[y]):
-                raise ValueError(
-                    f"not monotone: {x!r} <= {y!r} but images are unrelated")
-
-    def __call__(self, x):
-        return self.mapping[x]
-
-    def image(self) -> frozenset:
-        return frozenset(self.mapping.values())
-
-    def __repr__(self):
-        return f"OrdFun({self.mapping!r})"
-
-
 # ---------------------------------------------------------- upper monad
 
 def _antichains(p: FinPoset):
@@ -219,43 +190,15 @@ def upper_monad() -> MonadInstance:
     )
 
 
-# ------------------------------------------------------- factorizations
+# -------------------------------------------------- lifting over posets
 
 SYSTEMS = ("epi-regmono", "extremalepi-mono")
 
 
-@dataclass(frozen=True)
-class OrdFactorization:
-    epi: OrdFun
-    mid: FinPoset
-    mono: OrdFun
-    system: str
-
-
-def factorize_ord(f: OrdFun, system: str) -> OrdFactorization:
-    """Image factorization in the chosen system.
-
-    epi-regmono: the image carries the codomain's order restricted to
-    it, making the second leg an embedding.  extremalepi-mono: the
-    image carries the smallest order containing the pushed-forward
-    domain order, making the first leg a quotient.  That order is
-    antisymmetric because it lies inside the codomain's order: f is
-    monotone, so every pushed pair is a pair of the codomain.
-    """
+def _check_system(system: str):
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; pick one of {SYSTEMS}")
-    img = f.image()
-    if system == "epi-regmono":
-        leq = [(u, v) for u in img for v in img if f.cod.le(u, v)]
-    else:
-        leq = {(f(x), f(y)) for x, y in f.dom.pairs}
-    mid = FinPoset(FinSet(img), leq)
-    epi = OrdFun(f.dom, mid, {x: f(x) for x in f.dom})
-    mono = OrdFun(mid, f.cod, {u: u for u in mid})
-    return OrdFactorization(epi, mid, mono, system)
 
-
-# -------------------------------------------------- lifting over posets
 
 class OrderedRel:
     """A relation between two posets, itself carrying a partial order.
@@ -303,26 +246,47 @@ class OrderedRel:
         return f"OrderedRel({sorted(self.pairs, key=atom_key)!r})"
 
 
+def factorize_ord(phi, dom: FinPoset, left: FinPoset, right: FinPoset,
+                  system: str) -> OrderedRel:
+    """The image of a monotone map phi from dom into left x right, as a
+    relation ordered in the chosen system.
+
+    epi-regmono: the image carries the product order restricted to it,
+    making the inclusion an embedding.  extremalepi-mono: the image
+    carries the smallest order containing the pushed-forward order of
+    dom, making phi a quotient onto it.  That order is antisymmetric
+    because it lies inside the product order: phi is monotone, so every
+    pushed pair is a pair of the product.
+    """
+    _check_system(system)
+    for x in dom:
+        if x not in phi:
+            raise ValueError(f"no image for {x!r}")
+        a, b = phi[x]
+        if a not in left or b not in right:
+            raise ValueError(f"image of {x!r} outside the codomain")
+    pushed = {(phi[x], phi[y]) for x, y in dom.pairs}
+    for u, v in pushed:
+        if not (left.le(u[0], v[0]) and right.le(u[1], v[1])):
+            raise ValueError(
+                f"not monotone: {u!r} is not below {v!r} in the product")
+    image = {phi[x] for x in dom}
+    return OrderedRel(left, right, image,
+                      None if system == "epi-regmono" else pushed)
+
+
 def lift_relation_ord(s: OrderedRel, system: str) -> OrderedRel:
     """Lift a relation through the upper-set monad in a chosen system.
 
-    Apply the monad to the relation-as-poset, project both ways, and
-    factor the pairing; the middle object is the lifted relation over
-    the two antichain posets.
+    Apply the monad to the relation-as-poset, send each value to its
+    pair of projections, and order the image of that pairing as the
+    system says.
     """
+    _check_system(system)
     t = upper_monad()
-    sp = s.as_poset()
-    tsp = t.apply(sp)
-    ta1 = t.apply(s.left)
-    ta2 = t.apply(s.right)
-    prod = ord_product(ta1, ta2)
-    phi = OrdFun(tsp, prod, {
-        q: (t.v_map(lambda p: p[0], q, s.left),
-            t.v_map(lambda p: p[1], q, s.right))
-        for q in tsp
-    })
-    fact = factorize_ord(phi, system)
-    return OrderedRel(ta1, ta2, fact.mid.carrier, fact.mid.pairs)
+    tsp = t.apply(s.as_poset())
+    phi = {q: project(t, q, s.left, s.right) for q in tsp}
+    return factorize_ord(phi, tsp, t.apply(s.left), t.apply(s.right), system)
 
 
 class OrdCategory:

@@ -8,6 +8,8 @@ clever pruning.  Tests compare library outputs against these.
 import itertools
 from fractions import Fraction
 
+from monarel import FinPoset, FinSet, OrderedRel, ord_product, upper_monad
+
 
 def realization_exists(b1, b2, s):
     """Membership by brute witness search: some R inside the relation
@@ -146,3 +148,30 @@ def validated_weights(weights, mode, carrier=None):
             if x not in carrier:
                 raise ValueError(f"support element {x!r} outside the carrier")
     return cleaned, total
+
+
+def product_poset_lift(s, system):
+    """The ordered lifting built inside the product poset T A1 x T A2:
+    the pairing of projections is checked monotone into the product,
+    its image takes the product order (epi-regmono) or the closure of
+    the pushed-forward order of T S (extremalepi-mono), and that order
+    is closed a second time inside the resulting OrderedRel."""
+    t = upper_monad()
+    tsp = t.apply(s.as_poset())
+    ta1, ta2 = t.apply(s.left), t.apply(s.right)
+    prod = ord_product(ta1, ta2)
+    phi = {q: (t.v_map(lambda p: p[0], q, s.left),
+               t.v_map(lambda p: p[1], q, s.right))
+           for q in tsp}
+    for x, y in tsp.pairs:
+        if not prod.le(phi[x], phi[y]):
+            raise ValueError(f"not monotone: {x!r} <= {y!r}")
+    img = set(phi.values())
+    if system == "epi-regmono":
+        leq = [(u, v) for u in img for v in img if prod.le(u, v)]
+    elif system == "extremalepi-mono":
+        leq = {(phi[x], phi[y]) for x, y in tsp.pairs}
+    else:
+        raise ValueError(f"unknown system {system!r}")
+    mid = FinPoset(FinSet(img), leq)
+    return OrderedRel(ta1, ta2, mid.carrier, mid.pairs)

@@ -151,12 +151,14 @@ def test_lift_walks_at_most_its_limit_of_values(capsys, j, monad, n):
 
 
 def test_lift_refuses_the_full_relation_between_6_and_5_atoms(capsys, j):
-    # 30 pairs: a walk of 2^30 values, which lift used to start
-    with deadline(5):
-        code, out, err = run(capsys, "lift", "--monad", "powerset", "--S",
-                             j("s.json", full_rel("123456", "abcde")))
-    assert code == 2 and out == ""
-    assert "T S over 30 pairs has about 2^30 elements" in err
+    # 30 pairs: a walk of 2^30 values (2^30 - 1 for the nonempty
+    # powerset), which lift used to start
+    for monad in ("powerset", "nonempty-powerset"):
+        with deadline(5):
+            code, out, err = run(capsys, "lift", "--monad", monad, "--S",
+                                 j("s.json", full_rel("123456", "abcde")))
+        assert code == 2 and out == ""
+        assert "T S over 30 pairs has about 2^30 elements" in err
 
 
 def test_lift_rejects_dist(capsys, j):
@@ -381,7 +383,7 @@ def test_basic_lemma_refuses_too_many_environment_pairs(capsys, j):
             "--base", j("base.json", {"b": full_rel("abc", "abc")}),
             "--ctx", "f:b -> T b, g:b -> T b", "--term", j("t.ml", "val ()"))
     assert code == 2 and out == ""
-    assert ("the product of the relations at f, g has about 2^33 elements, "
+    assert ("the product of the relations at f, g has about 2^34 elements, "
             "more than the limit of 65536") in err
 
 
@@ -418,6 +420,30 @@ def test_poset_lift_single_system_json(capsys, j):
     assert code == 0
     parsed = json.loads(out)
     assert parsed["epi-regmono"]["pairs"] == [[{"set": ["x"]}, {"set": ["x"]}]]
+
+
+@pytest.mark.parametrize("left,right,n,refused", [
+    ("abc", "xyz", None, None),
+    ("abcde", "xy", None, "the relation has 10"),
+    # the upper-set monad over these 16 pairs has 2^16 - 1 antichains,
+    # which poset-lift used to order
+    ("abcd", "wxyz", None, "the relation has 16"),
+    ("abcdefghij", "x", 1, "the left poset has 10"),
+    ("a", "qrstuvwxyz", 1, "the right poset has 10"),
+])
+def test_poset_lift_accepts_at_most_9_points_and_pairs(capsys, j, left, right,
+                                                       n, refused):
+    rel = full_rel(left, right, n)
+    orel = {"left": {"carrier": rel["left"]},
+            "right": {"carrier": rel["right"]}, "pairs": rel["pairs"]}
+    with deadline(5):
+        code, out, err = run(capsys, "poset-lift", "--rel", j("o.json", orel))
+    if refused:
+        assert code == 2 and out == ""
+        assert f"{refused} elements, more than the limit of 9" in err
+    else:
+        # every pair of nonempty subsets of the two 3-point sides
+        assert code == 0 and out.startswith("[epi-regmono] 49 pairs")
 
 
 # --------------------------------------------------------------- errors
@@ -688,8 +714,32 @@ def _lift_argv(draw):
     return flags, {"--S": _mostly(draw, rel)}
 
 
+def _poset_json(draw, atoms):
+    leq = [[a, b] for i, a in enumerate(atoms) for b in atoms[i + 1:]
+           if draw(st.booleans())]
+    return {"carrier": list(atoms), "leq": leq}
+
+
+@st.composite
+def _poset_lift_argv(draw):
+    # posets of up to 5 points related in full or in part, so that some
+    # inputs have more points or pairs than poset-lift accepts
+    left = "12345"[:draw(st.integers(1, 5))]
+    right = "abcde"[:draw(st.integers(1, 5))]
+    rel = {"left": _poset_json(draw, left), "right": _poset_json(draw, right),
+           "pairs": full_rel(left, right)["pairs"]}
+    if draw(st.booleans()):
+        rel["pairs"] = [p for p in rel["pairs"] if draw(st.booleans())]
+    flags = ["--system", draw(st.sampled_from(["both", "epi-regmono",
+                                               "extremalepi-mono"]))]
+    if draw(st.booleans()):
+        flags.append("--json")
+    return flags, {"--rel": _mostly(draw, rel)}
+
+
 FUZZ = {
     "lift": (_lift_argv(), None),
+    "poset-lift": (_poset_lift_argv(), None),
     "logrel": (_logrel_argv(), None),
     "basic-lemma": (_basic_lemma_argv(), "NOT related"),
     "member": (_member_argv(), "not a member"),

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from monarel import (FinPoset, OrdFun, OrderedRel, SYSTEMS, chain, discrete,
-                     factorize_ord, lift_relation_ord, ord_product, subsets,
+from monarel import (FinPoset, OrderedRel, Rel, SYSTEMS, chain, discrete,
+                     factorize_ord, lift_enumerate, lift_relation_ord,
+                     nonempty_powerset_monad, ord_product, subsets,
                      upper_monad)
 
 
@@ -72,25 +73,6 @@ def test_poset_equality_and_hash():
     q = FinPoset(["a", "b"], [("a", "b"), ("a", "a")])
     assert p == q and hash(p) == hash(q)
     assert p != discrete(["a", "b"])
-
-
-# ----------------------------------------------------------------- OrdFun
-
-def test_ordfun_requires_monotonicity():
-    c = chain(["0", "1"])
-    d = discrete(["a", "b"])
-    with pytest.raises(ValueError):
-        OrdFun(c, d, {"0": "a", "1": "b"})
-    f = OrdFun(d, c, {"a": "0", "b": "1"})
-    assert f("a") == "0"
-
-
-def test_ordfun_requires_totality_and_codomain():
-    c = chain(["0", "1"])
-    with pytest.raises(ValueError):
-        OrdFun(c, c, {"0": "0"})
-    with pytest.raises(ValueError):
-        OrdFun(c, c, {"0": "0", "1": "z"})
 
 
 # ------------------------------------------------------------ upper monad
@@ -164,34 +146,50 @@ def test_upper_mediator_of_antichains_is_an_antichain():
 
 # ---------------------------------------------------------- factorization
 
+PT = FinPoset(["*"])
+
+
+def into(mapping):
+    """A map into a poset P, as a map into P x the one-point poset."""
+    return {x: (y, "*") for x, y in mapping.items()}
+
+
+def on_cod(r):
+    """The order factorize_ord put on the image, read back in cod."""
+    return {(u[0], v[0]) for u, v in r.order}
+
+
 def test_factorize_identity_is_trivial():
     c = chain(["0", "1"])
     for sysname in SYSTEMS:
-        fac = factorize_ord(OrdFun(c, c, {x: x for x in c}), sysname)
-        assert fac.mid == c
-        assert fac.epi.mapping == fac.mono.mapping == {"0": "0", "1": "1"}
+        r = factorize_ord(into({x: x for x in c}), c, c, PT, sysname)
+        assert r.pairs == {("0", "*"), ("1", "*")}
+        assert on_cod(r) == c.pairs
 
 
 def test_factorize_collapse_agrees_across_systems():
     d = discrete(["x", "y"])
     pt = FinPoset(["p"])
-    f = OrdFun(d, pt, {"x": "p", "y": "p"})
-    mids = [factorize_ord(f, sysname).mid for sysname in SYSTEMS]
-    assert mids[0] == mids[1] == pt
+    phi = into({"x": "p", "y": "p"})
+    mids = [factorize_ord(phi, d, pt, PT, sysname) for sysname in SYSTEMS]
+    assert mids[0] == mids[1]
+    assert mids[0].pairs == {("p", "*")} and on_cod(mids[0]) == pt.pairs
 
 
 def test_factorize_two_systems_differ_on_the_antichain_to_chain_map():
-    f = OrdFun(discrete(["x", "y"]), chain(["a", "b"]),
-               {"x": "a", "y": "b"})
-    inherited = factorize_ord(f, "epi-regmono")
-    generated = factorize_ord(f, "extremalepi-mono")
-    assert inherited.mid.le("a", "b")
-    assert not generated.mid.le("a", "b")  # no generating inequality
-    assert set(inherited.mid) == set(generated.mid)
+    c = chain(["a", "b"])
+    phi = into({"x": "a", "y": "b"})
+    d = discrete(["x", "y"])
+    inherited = factorize_ord(phi, d, c, PT, "epi-regmono")
+    generated = factorize_ord(phi, d, c, PT, "extremalepi-mono")
+    assert ("a", "b") in on_cod(inherited)
+    assert ("a", "b") not in on_cod(generated)  # no generating inequality
+    assert inherited.pairs == generated.pairs
 
 
 def test_factorize_recomposes_and_middle_is_the_image():
     rng = random.Random(23)
+    monotone = 0
     for _ in range(60):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         dom_pairs = [(f"x{i}", f"x{j}") for i in range(n) for j in range(n)
@@ -203,37 +201,56 @@ def test_factorize_recomposes_and_middle_is_the_image():
             cod = FinPoset([f"y{i}" for i in range(m)], cod_pairs)
         except ValueError:
             continue
-        mapping = {}
-        ok = True
-        for x in dom:
-            mapping[x] = f"y{rng.randrange(m)}"
-        try:
-            f = OrdFun(dom, cod, mapping)
-        except ValueError:
+        mapping = {x: f"y{rng.randrange(m)}" for x in dom}
+        phi = into(mapping)
+        if not all(cod.le(mapping[x], mapping[y]) for x, y in dom.pairs):
+            for sysname in SYSTEMS:
+                with pytest.raises(ValueError, match="not monotone"):
+                    factorize_ord(phi, dom, cod, PT, sysname)
             continue
-        for sysname in SYSTEMS:
-            fac = factorize_ord(f, sysname)
-            assert set(fac.mid) == set(f.image())
-            assert {x: fac.mono(fac.epi(x)) for x in dom} == f.mapping
-            # first leg surjective onto the middle
-            assert set(fac.epi.mapping.values()) == set(fac.mid)
-            # second leg injective and monotone into the codomain
-            vals = list(fac.mono.mapping.values())
-            assert len(vals) == len(set(vals))
-        # the inherited system makes the second leg an embedding
-        emb = factorize_ord(f, "epi-regmono")
-        for u in emb.mid:
-            for v in emb.mid:
-                assert emb.mid.le(u, v) == cod.le(u, v)
+        monotone += 1
+        emb, gen = (factorize_ord(phi, dom, cod, PT, sysname)
+                    for sysname in SYSTEMS)
+        for r in (emb, gen):
+            # phi lands onto the image and stays monotone into its order,
+            # and the inclusion of the image into cod x PT is monotone
+            assert r.pairs == set(phi.values())
+            assert {(phi[x], phi[y]) for x, y in dom.pairs} <= r.order
+            assert on_cod(r) <= cod.pairs
+        # the inherited system makes the inclusion an embedding
+        image = {y for y, _ in emb.pairs}
+        assert on_cod(emb) == {(u, v) for u in image for v in image
+                               if cod.le(u, v)}
         # the generated order never exceeds the inherited one
-        gen = factorize_ord(f, "extremalepi-mono")
-        assert gen.mid.pairs <= emb.mid.pairs
+        assert gen.order <= emb.order
+    assert monotone >= 20
 
 
 def test_factorize_unknown_system():
-    with pytest.raises(ValueError):
-        pt = FinPoset(["*"])
-        factorize_ord(OrdFun(pt, pt, {"*": "*"}), "epi-mono")
+    with pytest.raises(ValueError, match="unknown system"):
+        factorize_ord({"*": ("*", "*")}, PT, PT, PT, "epi-mono")
+
+
+def test_factorize_requires_monotonicity():
+    c = chain(["0", "1"])
+    d = discrete(["a", "b"])
+    for sysname in SYSTEMS:
+        with pytest.raises(ValueError, match="not monotone"):
+            factorize_ord(into({"0": "a", "1": "b"}), c, d, PT, sysname)
+        r = factorize_ord(into({"a": "0", "b": "1"}), d, c, PT, sysname)
+        assert r.pairs == {("0", "*"), ("1", "*")}
+
+
+def test_factorize_requires_totality_and_codomain():
+    c = chain(["0", "1"])
+    for sysname in SYSTEMS:
+        with pytest.raises(ValueError, match="no image"):
+            factorize_ord(into({"0": "0"}), c, c, PT, sysname)
+        with pytest.raises(ValueError, match="outside the codomain"):
+            factorize_ord(into({"0": "0", "1": "z"}), c, c, PT, sysname)
+        with pytest.raises(ValueError, match="outside the codomain"):
+            factorize_ord({"0": ("0", "*"), "1": ("1", "z")}, c, c, PT,
+                          sysname)
 
 
 # -------------------------------------------------------------- OrderedRel
@@ -311,3 +328,43 @@ def test_ordering_difference_search_reports_absence():
             witnesses += 1
     assert searched > 100
     assert witnesses == 0
+
+
+def test_lift_agrees_with_the_product_poset_construction():
+    # every relation between every two posets of at most two points, then
+    # a seeded sample over three points; pairs and order, both systems
+    small = list(all_posets(2))
+    cases = [(p, q, rel) for p in small for q in small
+             for rel in subsets([(a, b) for a in p for b in q])]
+    three = list(all_posets(3))[len(small):]
+    rng = random.Random(47)
+    for _ in range(100):
+        p, q = rng.choice(three), rng.choice(three)
+        cases.append((p, q, [(a, b) for a in p for b in q
+                             if rng.random() < 0.4]))
+    for p, q, rel in cases:
+        s = OrderedRel(p, q, rel)
+        for sysname in SYSTEMS:
+            lifted = lift_relation_ord(s, sysname)
+            expect = oracles.product_poset_lift(s, sysname)
+            assert (lifted.pairs, lifted.order) == (expect.pairs, expect.order)
+    assert len(cases) == 170 + 100
+
+
+def test_lift_on_discrete_posets_is_the_nonempty_powerset_lift():
+    # one construction: over discrete posets the antichains are the
+    # nonempty subsets, and the ordered lifting's pairs are the set ones
+    t = nonempty_powerset_monad()
+    for left, right in [("a", "xy"), ("ab", "xy"), ("abc", "xy")]:
+        universe = [(a, b) for a in left for b in right]
+        for rel in subsets(universe):
+            s = OrderedRel(discrete(left), discrete(right), rel)
+            expect = lift_enumerate(t, Rel(s.left.carrier, s.right.carrier, rel))
+            for sysname in SYSTEMS:
+                assert lift_relation_ord(s, sysname).pairs == expect.pairs
+
+
+def test_lift_rejects_an_unknown_system():
+    c = chain(["0", "1"])
+    with pytest.raises(ValueError, match="unknown system"):
+        lift_relation_ord(OrderedRel(c, c, [("0", "0")]), "epi-mono")
