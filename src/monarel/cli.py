@@ -9,6 +9,7 @@ a structured report; seeds are echoed so runs can be reproduced.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -18,7 +19,7 @@ from .bisim import (check_bisimulation, check_prob_bisimulation,
                     largest_bisimulation, larsen_skou_check)
 from .finset import Rel, atom_key, atom_str
 from .lawcheck import SET, check_cartesian, standard_battery
-from .lifting import lift_enumerate, lift_member_dist_saturated
+from .lifting import lift_member_dist_saturated
 from .metalang import (ParseError, TTy, TypecheckError, basic_lemma_check,
                        logical_relation, parse, parse_ty, synthesize, t_size,
                        term_str, type_pool, typecheck, within_limit)
@@ -96,8 +97,10 @@ def cmd_check_laws(args):
     return 0 if ok else 1
 
 
-# lift walks every value of T S, whose number doubles with each pair of
-# S: 12 pairs take about 0.07 s, 30 pairs would take hours
+# lift builds the lifted pairs by union closure, one pass per pair of S
+# over the pairs built so far.  There can be as many of them as values
+# of T S, 2^|S| (a matching of 12 pairs has 4096), so the limit on T S
+# bounds the lifted pairs too
 MAX_LIFT = 4096
 
 # poset-lift applies the upper-set monad to both posets and to the
@@ -119,7 +122,7 @@ def cmd_lift(args):
                      t_size(t, len(s.pairs)), MAX_LIFT)
     except ValueError as e:
         raise _Usage(f"{args.S}: {e}")
-    lifted = lift_enumerate(t, s)
+    lifted = t.lift(s)
     if args.json:
         _emit(args, {"monad": t.name, "lifted": jsonio.rel_json(lifted)})
     else:
@@ -465,7 +468,11 @@ are "L:x" (left carrier) and "R:y" (right carrier).
 """
 
 
+@functools.cache
 def _build_parser():
+    # built on the first main() call and kept: it depends on no input
+    # and holds no command function, and parse_args returns a fresh
+    # Namespace each time
     p = argparse.ArgumentParser(
         prog="monarel",
         description="Finite-model checks for strong commutative monads, "
@@ -491,13 +498,11 @@ def _build_parser():
     sp.add_argument("--samples", type=int, default=200,
                     help="sample count for non-enumerable checks")
     common(sp)
-    sp.set_defaults(fn=cmd_check_laws)
 
     sp = sub.add_parser("lift", help="materialize a lifted relation")
     sp.add_argument("--monad", required=True)
     sp.add_argument("--S", required=True, help="relation JSON file")
     common(sp, seeded=False)
-    sp.set_defaults(fn=cmd_lift)
 
     sp = sub.add_parser("member", help="decide lifted-relation membership")
     sp.add_argument("--monad", required=True,
@@ -514,19 +519,16 @@ def _build_parser():
     sp.add_argument("--saturated", action="store_true",
                     help="use the class-mass criterion (S must be saturated)")
     common(sp, seeded=False)
-    sp.set_defaults(fn=cmd_member)
 
-    for name, fn, blurb in (
-            ("bisim", cmd_bisim, "check a strong bisimulation"),
-            ("prob-bisim", cmd_prob_bisim,
-             "check a probabilistic bisimulation")):
+    for name, blurb in (
+            ("bisim", "check a strong bisimulation"),
+            ("prob-bisim", "check a probabilistic bisimulation")):
         sp = sub.add_parser(name, help=blurb)
         sp.add_argument("--sys1", required=True)
         sp.add_argument("--sys2", required=True)
         sp.add_argument("--rel", help="relation JSON (default: diagonal)")
         sp.add_argument("--labels", help="label relation (default: diagonal)")
         common(sp, seeded=False)
-        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("max-bisim", help="largest bisimulation")
     sp.add_argument("--sys1", required=True)
@@ -535,7 +537,6 @@ def _build_parser():
     sp.add_argument("--kind", default="auto",
                     choices=["auto", "powerset", "dist"])
     common(sp, seeded=False)
-    sp.set_defaults(fn=cmd_max_bisim)
 
     sp = sub.add_parser("larsen-skou", help="class-mass bisimulation check")
     sp.add_argument("--sys1", required=True)
@@ -543,7 +544,6 @@ def _build_parser():
     sp.add_argument("--classes", required=True,
                     help="partition of the tagged union, JSON")
     common(sp, seeded=False)
-    sp.set_defaults(fn=cmd_larsen_skou)
 
     sp = sub.add_parser("logrel", help="materialize a logical relation")
     sp.add_argument("--model1", required=True)
@@ -551,7 +551,6 @@ def _build_parser():
     sp.add_argument("--type", required=True, help='e.g. "T (b -> b)"')
     sp.add_argument("--base", help="base relations JSON (default: diagonals)")
     common(sp, seeded=False)
-    sp.set_defaults(fn=cmd_logrel)
 
     sp = sub.add_parser("basic-lemma",
                         help="related environments give related meanings")
@@ -566,7 +565,6 @@ def _build_parser():
     sp.add_argument("--max-size", type=int, default=8,
                     help="largest generated term")
     common(sp)
-    sp.set_defaults(fn=cmd_basic_lemma)
 
     sp = sub.add_parser("poset-lift",
                         help="lift an ordered relation in one or both systems")
@@ -574,20 +572,21 @@ def _build_parser():
     sp.add_argument("--system", default="both",
                     choices=["both", "epi-regmono", "extremalepi-mono"])
     common(sp, seeded=False)
-    sp.set_defaults(fn=cmd_poset_lift)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 on --help; keep both
         return int(e.code or 0)
+    # looked up by name when it runs, not bound when the parser was built
+    # and cached, so a cmd_* rebound on this module is the one called
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

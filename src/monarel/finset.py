@@ -81,7 +81,13 @@ class Rel:
 
     __slots__ = ("left", "right", "pairs")
 
-    def __init__(self, left: FinSet, right: FinSet, pairs):
+    def __init__(self, left, right, pairs):
+        # any other iterable of atoms becomes its canonical FinSet, so
+        # equal carriers compare and hash equal whatever order they came in
+        if not isinstance(left, FinSet):
+            left = FinSet(left)
+        if not isinstance(right, FinSet):
+            right = FinSet(right)
         pairs = frozenset(tuple(p) for p in pairs)
         for x, y in pairs:
             if x not in left or y not in right:

@@ -4,12 +4,16 @@ A relation S between A1 and A2 lifts to a relation between T A1 and
 T A2: the direct image of T S under the two pushforward projections
 (T pi1, T pi2), which `project` computes for one value of T S.  The
 ordered lifting in poset.py is the same image with an order on it.
-For enumerable monads the lifted relation is materialized; membership
-is decided by Egli-Milner for the powersets and, for distributions, by
-exact integral max-flow (does a coupling with the given marginals live
-inside S?), with the saturated-relation shortcut and its explicit
-product-form coupling.  Each monad carries its own decider
-(MonadInstance.related); monads.py takes the two deciders from here.
+For enumerable monads the lifted relation is materialized
+(MonadInstance.lift): the powersets build it by union closure, without
+walking T S, and other monads take the image of every value of T S
+(`lift_enumerate`, which stays the definition the tests compare
+against).  Membership is decided by Egli-Milner for the powersets and,
+for distributions, by exact integral max-flow (does a coupling with the
+given marginals live inside S?), with the saturated-relation shortcut
+and its explicit product-form coupling.  Each monad carries its own
+decider (MonadInstance.related) and lifting (MonadInstance.lift);
+monads.py takes them from here.
 """
 
 from __future__ import annotations
@@ -44,6 +48,19 @@ def lift_enumerate(t: MonadInstance, s: Rel) -> Rel:
         raise ValueError(f"monad {t.name} is not enumerable")
     pairs = {project(t, r, s.left, s.right) for r in t.apply(s.as_finset())}
     return Rel(t.apply(s.left), t.apply(s.right), pairs)
+
+
+def lift_union_closure(s: Rel) -> set:
+    """The pairs (pi1 R, pi2 R) for every subset R of S.
+
+    Projections preserve unions, so these are the closure of (empty,
+    empty) under adding one pair of S to both sides: O(|S| * |result|)
+    set operations, where enumerating the subsets costs 2^|S|.
+    """
+    lifted = {(frozenset(), frozenset())}
+    for x, y in s.pairs:
+        lifted |= {(b1.union((x,)), b2.union((y,))) for b1, b2 in lifted}
+    return lifted
 
 
 def lift_member_powerset(b1, b2, s: Rel) -> bool:
@@ -304,7 +321,7 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
     rng = random.Random(seed)
     cases = 0
     if t.enumerable:
-        lifted = lift_enumerate(t, s)
+        lifted = t.lift(s)
         lifted_pairs = sorted(lifted.pairs, key=atom_key)
         # a nonempty sub-relation projects to nonempty sets of values of
         # T A, which are values of T (T A); only the empty one may not be
@@ -359,7 +376,7 @@ def lifted_strength_check(t: MonadInstance, s: Rel, s2: Rel, *,
     sp = s.product(s2)
     cases = 0
     if t.enumerable:
-        lifted2 = lift_enumerate(t, s2)
+        lifted2 = t.lift(s2)
         related = sorted(lifted2.pairs, key=atom_key)
     else:
         related = [project(t, nu, s2.left, s2.right)

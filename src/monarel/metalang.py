@@ -18,7 +18,6 @@ from types import MappingProxyType
 
 from .finset import FinSet, Rel, UNIT, UNIT_ATOM, atom_key, product_set
 from .lawcheck import LawReport
-from .lifting import lift_enumerate
 from .monads import MonadInstance
 
 
@@ -621,7 +620,7 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
         carrier_size(model2, ty)
         within_limit(f"T over the {len(inner)} pairs lifted at {ty}",
                      t_size(model1.monad, len(inner)))
-        return lift_enumerate(model1.monad, inner)
+        return model1.monad.lift(inner)
     raise ValueError(f"not a type: {ty!r}")
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 # the distribution values stay importable from here, next to their monad
 from .dist import MODES, RatDist, corner_dists, random_dist, value_key  # noqa: F401
-from .finset import FinSet, subsets
-from .lifting import lift_member_dist, lift_member_powerset
+from .finset import FinSet, Rel, subsets
+from .lifting import (lift_enumerate, lift_member_dist, lift_member_powerset,
+                      lift_union_closure)
 
 
 class MonadInstance:
@@ -23,7 +24,8 @@ class MonadInstance:
     for the powersets, RatDist for distributions, antichains for the
     ordered variant.  Enumerable instances additionally expose apply()
     on carriers.  member, when given, decides the lifted relation; see
-    related().
+    related().  lift, when given, builds the pairs of the lifted relation
+    from a relation; see lift().
     """
 
     def __init__(
@@ -39,6 +41,7 @@ class MonadInstance:
         apply=None,
         sample=None,
         member=None,
+        lift=None,
         mode: str | None = None,
         category: str = "set",
     ):
@@ -50,6 +53,7 @@ class MonadInstance:
         self._apply_cache = {}
         self._sample = sample
         self._member = member
+        self._lift = lift
         self._unit = unit
         self._map = map
         self._mult = mult
@@ -85,6 +89,16 @@ class MonadInstance:
             self._apply_cache[a] = self._apply(a)
         return self._apply_cache[a]
 
+    def lift(self, s):
+        """The lifted relation of s over (T A1, T A2), materialized.
+
+        Monads without their own lift op take the image of every value
+        of T S (lift_enumerate).
+        """
+        if self._lift is None:
+            return lift_enumerate(self, s)
+        return Rel(self.apply(s.left), self.apply(s.right), self._lift(s))
+
     def sample(self, rng, a):
         """A seeded random value of T over the carrier a."""
         if self._sample is None:
@@ -119,12 +133,20 @@ def _powerset(name, nonempty) -> MonadInstance:
             raise ValueError(f"the empty set is not a value of {name}")
         return lift_member_powerset(b1, b2, s)
 
+    def lift(s):
+        pairs = lift_union_closure(s)
+        if nonempty:
+            # only the empty sub-relation projects to (empty, empty)
+            pairs.discard((frozenset(), frozenset()))
+        return pairs
+
     return MonadInstance(
         name,
         enumerable=True,
         apply=lambda a: FinSet(s for s in subsets(a) if s or not nonempty),
         sample=lambda rng, a: _random_subset(rng, a, nonempty),
         member=member,
+        lift=lift,
         unit=lambda x: frozenset([x]),
         map=lambda fn, t, cod: frozenset(fn(x) for x in t),
         mult=lambda tt, obj: frozenset(x for s in tt for x in s),

@@ -5,6 +5,7 @@ kept deliberately naive: enumeration over subsets, no flow networks, no
 clever pruning.  Tests compare library outputs against these.
 """
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -175,3 +176,12 @@ def product_poset_lift(s, system):
         raise ValueError(f"unknown system {system!r}")
     mid = FinPoset(FinSet(img), leq)
     return OrderedRel(ta1, ta2, mid.carrier, mid.pairs)
+
+
+def enumerating_lift(t):
+    """A copy of the monad t without its own lift op, so t.lift, and every
+    check built on it, takes the image of each value of T S through
+    lift_enumerate."""
+    slow = copy.copy(t)
+    slow._lift = None
+    return slow

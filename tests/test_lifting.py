@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -7,13 +8,14 @@ import pytest
 import oracles
 from test_lawcheck import mutant_powerset
 
-from monarel import (FinSet, RatDist, Rel, converse_coupling,
+from monarel import (FinSet, Model, RatDist, Rel, converse_coupling,
                      dist_monad, is_saturated, lift_enumerate,
                      lift_member_dist, lift_member_dist_saturated,
                      lift_member_powerset, lifted_mult_check,
                      lifted_strength_check, lifted_unit_check,
-                     nonempty_powerset_monad, powerset_monad, random_dist,
-                     saturate, subsets, upper_monad)
+                     logical_relation, nonempty_powerset_monad, parse_ty,
+                     powerset_monad, random_dist, saturate, subsets,
+                     upper_monad)
 
 F = Fraction
 
@@ -97,6 +99,131 @@ def test_related_agrees_with_the_enumerated_lifting(t):
             for v1 in t.apply(s.left):
                 for v2 in t.apply(s.right):
                     assert bool(t.related(v1, v2, s)) == ((v1, v2) in lifted)
+
+
+# the union closure behind t.lift against the walk of T S it replaces
+
+POWERSETS = pytest.mark.parametrize(
+    "t", [powerset_monad(), nonempty_powerset_monad()], ids=lambda t: t.name)
+
+
+def _oracle_lift(t, s):
+    pairs = oracles.powerset_lift_pairs(s)
+    if t.name == "nonempty-powerset":
+        pairs.discard((frozenset(), frozenset()))
+    return pairs
+
+
+@POWERSETS
+def test_lift_agrees_with_lift_enumerate_up_to_3x3(t):
+    for n, m in itertools.product(range(4), repeat=2):
+        for s in all_rels(n, m):
+            assert t.lift(s) == lift_enumerate(t, s)
+
+
+@POWERSETS
+def test_lift_agrees_with_the_projection_oracle_on_4x4(t):
+    rng = random.Random(4)
+    left, right = FinSet(["1", "2", "3", "4"]), FinSet(["a", "b", "c", "d"])
+    universe = [(x, y) for x in left for y in right]
+    for k in range(len(universe) + 1):
+        for _ in range(2):
+            s = Rel(left, right, rng.sample(universe, k))
+            assert t.lift(s).pairs == _oracle_lift(t, s)
+
+
+@POWERSETS
+def test_powersets_lift_without_walking_t_s(t, monkeypatch):
+    def walk(t, s):
+        raise AssertionError("walked T S")
+
+    monkeypatch.setattr("monarel.monads.lift_enumerate", walk)
+    assert t.lift(S_STAIR).pairs == _oracle_lift(t, S_STAIR)
+
+
+@POWERSETS
+def test_lift_of_a_12_pair_matching_has_every_subset_pair(t):
+    atoms = range(12)
+    s = Rel([f"l{i:02}" for i in atoms], [f"r{i:02}" for i in atoms],
+            [(f"l{i:02}", f"r{i:02}") for i in atoms])
+    lifted = t.lift(s)
+    assert lifted.pairs == _oracle_lift(t, s)
+    assert len(lifted.pairs) == len(t.apply(s.left))
+
+
+def test_list_carriers_give_the_same_relation_and_lifting():
+    pairs = [("a", "x"), ("b", "z"), ("c", "x")]
+    listed = Rel(["c", "a", "b"], ["z", "y", "x"], pairs)
+    sets = Rel(FinSet(["a", "b", "c"]), FinSet(["x", "y", "z"]), pairs)
+    assert listed == sets and hash(listed) == hash(sets)
+    assert isinstance(listed.left, FinSet) and isinstance(listed.right, FinSet)
+    for t in (powerset_monad(), nonempty_powerset_monad()):
+        assert t.lift(listed) == t.lift(sets)
+        assert lift_enumerate(t, listed) == lift_enumerate(t, sets)
+
+
+def _lifted_checks(t, rels):
+    """Every lifted mult and strength report over the given relations."""
+    return [check for s in rels for s2 in rels[:3] for check in (
+        lifted_mult_check(t, s, samples=20, seed=5),
+        lifted_strength_check(t, s, s2, samples=20, seed=5))]
+
+
+def _some_rels():
+    rng = random.Random(6)
+    rels = [S_STAIR, Rel(A12, AB, []), Rel(A12, AB, [("1", "a"), ("2", "b")])]
+    for n, m in ((2, 3), (3, 3)):
+        left, right = [f"l{i}" for i in range(n)], [f"r{j}" for j in range(m)]
+        universe = list(itertools.product(left, right))
+        for k in (1, 4, len(universe)):
+            rels.append(Rel(left, right, rng.sample(universe, k)))
+    return rels
+
+
+@POWERSETS
+def test_lifted_checks_agree_with_the_enumerating_copy(t):
+    rels = _some_rels()
+    assert (_lifted_checks(t, rels)
+            == _lifted_checks(oracles.enumerating_lift(t), rels))
+
+
+@POWERSETS
+def test_failing_lifted_mult_agrees_with_the_enumerating_copy(t):
+    lossy = copy.copy(t)
+    lossy._mult = lambda tt, obj: frozenset(
+        sorted((x for s in tt for x in s), key=str)[1:])
+    slow = oracles.enumerating_lift(lossy)
+    fast = [lifted_mult_check(lossy, s, samples=20, seed=5)
+            for s in _some_rels()]
+    assert fast == [lifted_mult_check(slow, s, samples=20, seed=5)
+                    for s in _some_rels()]
+    assert not all(r.ok for r in fast)
+
+
+def _relation_or_error(m1, m2, base, ty):
+    try:
+        return logical_relation(m1, m2, base, ty)
+    except ValueError as e:
+        return str(e)
+
+
+@POWERSETS
+def test_logical_relation_at_t_types_agrees_with_the_enumerating_copy(t):
+    slow = oracles.enumerating_lift(t)
+    b1, b2 = FinSet(["a0", "a1"]), FinSet(["z0", "z1"])
+    universe = [(x, y) for x in b1 for y in b2]
+    got = []
+    for ty in ("T b", "T (T b)", "T (b * b)"):
+        for pairs in subsets(universe):
+            base = {"b": Rel(b1, b2, pairs)}
+            fast = _relation_or_error(Model(t, {"b": b1}), Model(t, {"b": b2}),
+                                      base, parse_ty(ty))
+            assert fast == _relation_or_error(
+                Model(slow, {"b": b1}), Model(slow, {"b": b2}), base,
+                parse_ty(ty))
+            got.append(isinstance(fast, Rel))
+    # T (b * b) over more than 10 related pairs is refused by both paths
+    assert any(got) and not all(got)
 
 
 def test_related_rejects_values_outside_the_monad():
