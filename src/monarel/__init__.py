@@ -56,6 +56,7 @@ from .bisim import (
     BisimResult,
     LTS,
     PLTS,
+    TransitionSystem,
     check_bisimulation,
     check_prob_bisimulation,
     largest_bisimulation,

@@ -2,99 +2,77 @@
 
 Nondeterministic systems step into subsets and are compared through
 Egli-Milner lifting; probabilistic systems step into rational
-distributions and are compared through coupling feasibility.  Each
-system carries the monad it steps in, and that monad decides the
-lifted relation.  The class-mass formulation over the disjoint union of
-the state spaces (Larsen-Skou) is implemented directly so the two views
-can be played against each other.
+distributions and are compared through coupling feasibility.  Both
+are TransitionSystems, which carry the monad they step in, and that
+monad decides the lifted relation.  The class-mass formulation over
+the disjoint union of the state spaces (Larsen-Skou) is implemented
+directly so the two views can be played against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .finset import FinSet, Rel, atom_key
-from .lifting import CouplingResult
+from .lifting import CouplingResult, class_sides
 from .monads import RatDist, dist_monad, powerset_monad
 
 
-class LTS:
-    """Finitely branching labelled transition system.
+class TransitionSystem:
+    """Finite labelled transition system stepping in a monad: step maps
+    (state, label) to a value of the monad over the states.  A missing
+    entry steps to absent, or is an error when absent is None."""
 
-    step maps (state, label) to a set of successor states; missing
-    entries mean no successors.
-    """
-
-    def __init__(self, states, labels, step):
-        self.monad = powerset_monad()
+    def __init__(self, monad, states, labels, step, absent):
+        self.monad = monad
+        self.mode = monad.mode
         self.states = states if isinstance(states, FinSet) else FinSet(states)
         self.labels = labels if isinstance(labels, FinSet) else FinSet(labels)
-        table = {}
-        for (s, l), succs in step.items():
+        for (s, l), value in step.items():
             if s not in self.states:
                 raise ValueError(f"unknown state {s!r}")
             if l not in self.labels:
                 raise ValueError(f"unknown label {l!r}")
-            succs = frozenset(succs)
-            for s2 in succs:
+            # a distribution's successors are its support
+            for s2 in value.weights if isinstance(value, RatDist) else value:
                 if s2 not in self.states:
                     raise ValueError(f"successor {s2!r} outside the carrier")
-            table[(s, l)] = succs
-        self._step = table
+        if absent is None:
+            for s, l in product(self.states, self.labels):
+                if (s, l) not in step:
+                    raise ValueError(f"missing step for ({s!r},{l!r}) in "
+                                     f"probability mode")
+        self._step = dict(step)
+        self._absent = absent
 
-    def step(self, state, label) -> frozenset:
-        return self._step.get((state, label), frozenset())
-
-    def moves(self):
-        return dict(self._step)
+    def step(self, state, label):
+        return self._step.get((state, label), self._absent)
 
 
-class PLTS:
-    """Probabilistic labelled transition system.
+def LTS(states, labels, step) -> TransitionSystem:
+    """A nondeterministic system: each step is a set of successors, and
+    missing entries mean no successors."""
+    return TransitionSystem(
+        powerset_monad(), states, labels,
+        {key: frozenset(succs) for key, succs in step.items()}, frozenset())
 
-    Every step is a RatDist over the states.  In probability mode each
-    (state, label) must carry an explicit distribution; in
-    subprobability mode missing entries default to the zero
-    subdistribution.
-    """
 
-    def __init__(self, states, labels, step, mode="probability"):
-        self.monad = dist_monad(mode)
-        self.states = states if isinstance(states, FinSet) else FinSet(states)
-        self.labels = labels if isinstance(labels, FinSet) else FinSet(labels)
-        self.mode = mode
-        table = {}
-        for (s, l), nu in step.items():
-            if s not in self.states:
-                raise ValueError(f"unknown state {s!r}")
-            if l not in self.labels:
-                raise ValueError(f"unknown label {l!r}")
-            if not isinstance(nu, RatDist):
-                nu = RatDist(nu, mode)
-            if nu.mode != mode:
-                raise ValueError(
-                    f"step ({s!r},{l!r}) has mode {nu.mode}, system is {mode}")
-            for s2 in nu.weights:
-                if s2 not in self.states:
-                    raise ValueError(f"successor {s2!r} outside the carrier")
-            table[(s, l)] = nu
-        if mode == "probability":
-            for s in self.states:
-                for l in self.labels:
-                    if (s, l) not in table:
-                        raise ValueError(
-                            f"missing step for ({s!r},{l!r}) in "
-                            f"probability mode")
-        self._step = table
-
-    def step(self, state, label) -> RatDist:
-        got = self._step.get((state, label))
-        if got is None:
-            return RatDist({}, self.mode)
-        return got
-
-    def moves(self):
-        return dict(self._step)
+def PLTS(states, labels, step, mode="probability") -> TransitionSystem:
+    """A probabilistic system: each step is a RatDist over the states.
+    In probability mode every (state, label) needs one; in subprobability
+    mode missing entries step to the zero subdistribution."""
+    monad = dist_monad(mode)
+    table = {}
+    for (s, l), nu in step.items():
+        if not isinstance(nu, RatDist):
+            nu = RatDist(nu, mode)
+        if nu.mode != mode:
+            raise ValueError(
+                f"step ({s!r},{l!r}) has mode {nu.mode}, system is {mode}")
+        table[(s, l)] = nu
+    return TransitionSystem(monad, states, labels, table,
+                            None if mode == "probability" else RatDist({}, mode))
 
 
 @dataclass(frozen=True)
@@ -112,9 +90,11 @@ def _same_monad(f1, f2):
             f"systems step in different monads: {f1.monad.name} vs {f2.monad.name}")
 
 
-def _check(s: Rel, f1, f2, rl: Rel) -> BisimResult:
-    """Related states take related-label steps into values related by
-    the lifting of S through the systems' monad."""
+def check_bisimulation(s: Rel, f1: TransitionSystem, f2: TransitionSystem,
+                       rl: Rel) -> BisimResult:
+    """S is a bisimulation: related states take related-label steps into
+    values related by the lifting of S through the systems' monad
+    (Egli-Milner-related successor sets, couplable distributions)."""
     _same_monad(f1, f2)
     if s.left != f1.states or s.right != f2.states:
         raise ValueError("relation carriers do not match the state spaces")
@@ -132,16 +112,9 @@ def _check(s: Rel, f1, f2, rl: Rel) -> BisimResult:
     return BisimResult(True)
 
 
-def check_bisimulation(s: Rel, f1: LTS, f2: LTS, rl: Rel) -> BisimResult:
-    """S is a strong bisimulation: related states take related-label
-    steps into Egli-Milner-related successor sets."""
-    return _check(s, f1, f2, rl)
-
-
-def check_prob_bisimulation(s: Rel, f1: PLTS, f2: PLTS, rl: Rel) -> BisimResult:
-    """S is a probabilistic bisimulation: related states take
-    related-label steps into couplable distributions."""
-    return _check(s, f1, f2, rl)
+# a probabilistic bisimulation is the same check on systems that step in
+# distributions
+check_prob_bisimulation = check_bisimulation
 
 
 def largest_bisimulation(f1, f2, rl: Rel = None) -> Rel:
@@ -178,7 +151,8 @@ def tagged_states(f1, f2) -> frozenset:
                      | {("R", b) for b in f2.states})
 
 
-def larsen_skou_check(f1: PLTS, f2: PLTS, classes) -> bool:
+def larsen_skou_check(f1: TransitionSystem, f2: TransitionSystem,
+                      classes) -> bool:
     """Class-mass bisimulation over the combined system.
 
     classes must partition the tagged disjoint union of the two state
@@ -186,6 +160,9 @@ def larsen_skou_check(f1: PLTS, f2: PLTS, classes) -> bool:
     give every class the same one-step mass, for every label; steps
     never cross sides.
     """
+    if f1.mode is None or f2.mode is None:
+        raise ValueError(
+            "class masses need systems that step in distributions")
     if f1.labels != f2.labels:
         raise ValueError("label sets differ")
     if f1.mode != f2.mode:
@@ -202,19 +179,14 @@ def larsen_skou_check(f1: PLTS, f2: PLTS, classes) -> bool:
     if seen != atoms:
         raise ValueError("classes do not partition the combined state space")
 
-    split = [
-        ({a for tag, a in cls if tag == "L"},
-         {b for tag, b in cls if tag == "R"})
-        for cls in classes
-    ]
+    sides = {"L": (0, f1), "R": (1, f2)}
+    split = [class_sides(cls) for cls in classes]
     for cls in classes:
-        members = sorted(cls, key=atom_key)
         for label in f1.labels:
-            signatures = []
-            for tag, a in members:
-                nu = (f1 if tag == "L" else f2).step(a, label)
-                side = 0 if tag == "L" else 1
-                signatures.append(tuple(nu.mass(c[side]) for c in split))
-            if any(sig != signatures[0] for sig in signatures[1:]):
+            signatures = set()
+            for tag, a in cls:
+                side, f = sides[tag]
+                signatures.add(tuple(f.step(a, label).mass(c[side]) for c in split))
+            if len(signatures) > 1:
                 return False
     return True

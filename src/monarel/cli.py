@@ -15,8 +15,7 @@ import random
 import sys
 
 from . import jsonio
-from .bisim import (check_bisimulation, check_prob_bisimulation,
-                    largest_bisimulation, larsen_skou_check)
+from .bisim import check_bisimulation, largest_bisimulation, larsen_skou_check
 from .finset import Rel, atom_key, atom_str
 from .lawcheck import SET, check_cartesian, standard_battery
 from .lifting import lift_member_dist_saturated
@@ -189,29 +188,27 @@ def cmd_member(args):
     return 0 if member else 1
 
 
+def _rel_or_diagonal(path, left, right, differ):
+    if path:
+        return _load(path, jsonio.load_rel)
+    if left != right:
+        raise _Usage(differ)
+    return Rel.diagonal(left)
+
+
 def _label_rel(args, f1, f2):
-    if args.labels:
-        return _load(args.labels, jsonio.load_rel)
-    if f1.labels != f2.labels:
-        raise _Usage("label sets differ; pass --labels")
-    return Rel.diagonal(f1.labels)
+    return _rel_or_diagonal(args.labels, f1.labels, f2.labels,
+                            "label sets differ; pass --labels")
 
 
-def _state_rel(args, f1, f2):
-    if args.rel:
-        return _load(args.rel, jsonio.load_rel)
-    if f1.states != f2.states:
-        raise _Usage("state spaces differ; pass --rel")
-    return Rel.diagonal(f1.states)
-
-
-def _bisim_common(args, loader, checker):
+def _bisim_common(args, loader):
     f1 = _load(args.sys1, loader)
     f2 = _load(args.sys2, loader)
-    s = _state_rel(args, f1, f2)
+    s = _rel_or_diagonal(args.rel, f1.states, f2.states,
+                         "state spaces differ; pass --rel")
     rl = _label_rel(args, f1, f2)
     try:
-        got = checker(s, f1, f2, rl)
+        got = check_bisimulation(s, f1, f2, rl)
     except ValueError as e:
         raise _Usage(str(e))
     if args.json:
@@ -233,11 +230,11 @@ def _bisim_common(args, loader, checker):
 
 
 def cmd_bisim(args):
-    return _bisim_common(args, jsonio.load_lts, check_bisimulation)
+    return _bisim_common(args, jsonio.load_lts)
 
 
 def cmd_prob_bisim(args):
-    return _bisim_common(args, jsonio.load_plts, check_prob_bisimulation)
+    return _bisim_common(args, jsonio.load_plts)
 
 
 def cmd_max_bisim(args):
@@ -329,10 +326,15 @@ def _parse_ctx(src):
         if ":" not in part:
             raise _Usage(f"--ctx entries look like 'x:ty', got {part!r}")
         name, ty = part.split(":", 1)
+        name = name.strip()
+        if not name:
+            raise _Usage(f"--ctx entry {part!r} has an empty variable name")
+        if name in ctx:
+            raise _Usage(f"--ctx repeats the variable {name!r}")
         try:
-            ctx[name.strip()] = parse_ty(ty)
+            ctx[name] = parse_ty(ty)
         except ParseError as e:
-            raise _Usage(f"--ctx {name.strip()!r}: {e}")
+            raise _Usage(f"--ctx {name!r}: {e}")
     return ctx
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .bisim import LTS, PLTS
+from .bisim import LTS, PLTS, TransitionSystem
 from .finset import FinSet, Rel, atom_key
 from .lawcheck import LawReport
 from .metalang import Model
@@ -107,7 +107,7 @@ def _split_step_key(key, states: FinSet, labels: FinSet):
     return s, l
 
 
-def load_lts(obj) -> LTS:
+def load_lts(obj) -> TransitionSystem:
     _require(isinstance(obj, dict), "a transition system must be an object")
     for key in ("states", "labels", "step"):
         _require(key in obj, f"transition system needs a {key!r} field")
@@ -122,7 +122,7 @@ def load_lts(obj) -> LTS:
     return LTS(states, labels, step)
 
 
-def load_plts(obj) -> PLTS:
+def load_plts(obj) -> TransitionSystem:
     _require(isinstance(obj, dict), "a transition system must be an object")
     for key in ("states", "labels", "step"):
         _require(key in obj, f"transition system needs a {key!r} field")

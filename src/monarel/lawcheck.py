@@ -2,9 +2,9 @@
 cartesianness, and the monad-morphism compatibility squares.
 
 Each checker is a generator of (diagram, input, lhs, rhs) cases over a
-grid of carriers; one driver, _law, runs them all, stops at the first
-case whose two composites differ, and rejects a grid that yields no
-case at all rather than reporting a vacuous pass.  Enumerable monads
+grid of carriers.  run_cases stops at the first case whose two sides
+differ (the lifted checks and the basic lemma run under it too); _law
+adds the grid and rejects one that yields no case.  Enumerable monads
 are checked exhaustively as long as the carrier stays small (levels
 above the size cap fall back to seeded sampling); distribution monads
 are checked on corner cases plus seeded random rational samples.  All
@@ -134,6 +134,22 @@ def _sample_budget(t: MonadInstance, samples, combos):
     return max(1, samples // max(combos, 1))
 
 
+def run_cases(name, cases, seed=None) -> LawReport:
+    """Run (diagram, input, lhs, rhs) cases until the two sides of one
+    differ; that case is the counterexample.  Zero cases pass.
+
+    A membership case has a pair as lhs and, as rhs, the same pair when
+    it is in the relation and "member" when it is not.
+    """
+    n = 0
+    for diagram, inp, lhs, rhs in cases:
+        n += 1
+        if lhs != rhs:
+            cex = {"diagram": diagram, "input": inp, "lhs": lhs, "rhs": rhs}
+            return LawReport(name, False, n, cex, seed)
+    return LawReport(name, True, n, None, seed)
+
+
 def _law(name, default_size, budget_exponent):
     """Make a case generator into a law checker.
 
@@ -151,15 +167,11 @@ def _law(name, default_size, budget_exponent):
             sets = (sample_sets if sample_sets is not None
                     else category.default_sets(default_size))
             per = _sample_budget(t, samples, len(sets) ** budget_exponent)
-            n = 0
-            for diagram, inp, lhs, rhs in cases(t, sets, category, rng, per, **kw):
-                n += 1
-                if lhs != rhs:
-                    cex = {"diagram": diagram, "input": inp, "lhs": lhs, "rhs": rhs}
-                    return LawReport(name, False, n, cex, seed)
-            if n == 0:
+            report = run_cases(
+                name, cases(t, sets, category, rng, per, **kw), seed)
+            if report.cases == 0:
                 raise ValueError(f"{name}: the grid yields no cases")
-            return LawReport(name, True, n, None, seed)
+            return report
 
         check.__name__ = check.__qualname__ = cases.__name__
         check.__doc__ = cases.__doc__

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .dist import RatDist, random_dist
 from .finset import FinSet, Rel, atom_key, product_set, subsets
-from .lawcheck import LawReport
+from .lawcheck import LawReport, run_cases
 
 if TYPE_CHECKING:
     from .monads import MonadInstance
@@ -239,6 +239,12 @@ def saturate(s: Rel):
     return classes, Rel(s.left, s.right, sat)
 
 
+def class_sides(cls) -> tuple:
+    """The left and the right atoms of a class of tagged atoms."""
+    return ({a for tag, a in cls if tag == "L"},
+            {b for tag, b in cls if tag == "R"})
+
+
 def is_saturated(s: Rel) -> bool:
     return saturate(s)[1] == s
 
@@ -252,8 +258,7 @@ def lift_member_dist_saturated(nu1: RatDist, nu2: RatDist, s: Rel) -> bool:
     if sat != s:
         raise ValueError("relation is not saturated")
     for cls in classes:
-        left = {a for tag, a in cls if tag == "L"}
-        right = {b for tag, b in cls if tag == "R"}
+        left, right = class_sides(cls)
         if nu1.mass(left) != nu2.mass(right):
             return False
     return True
@@ -268,8 +273,7 @@ def converse_coupling(nu1: RatDist, nu2: RatDist, s: Rel) -> RatDist:
         raise ValueError("relation is not saturated")
     weights = {}
     for cls in classes:
-        left = {a for tag, a in cls if tag == "L"}
-        right = {b for tag, b in cls if tag == "R"}
+        left, right = class_sides(cls)
         d1, d2 = nu1.mass(left), nu2.mass(right)
         if d1 != d2:
             raise ValueError("class masses differ; no coupling exists")
@@ -296,17 +300,12 @@ def _sample_couplings(t: MonadInstance, rng, s: Rel, samples: int):
 
 def lifted_unit_check(t: MonadInstance, s: Rel) -> LawReport:
     """Related points have related units."""
-    cases = 0
-    for a, b in sorted(s.pairs, key=atom_key):
-        cases += 1
-        v1, v2 = t.v_unit(a), t.v_unit(b)
-        if not t.related(v1, v2, s):
-            return LawReport(
-                "lifted-unit", False, cases,
-                {"diagram": "lifted-unit", "input": (a, b),
-                 "lhs": (v1, v2), "rhs": "member"},
-            )
-    return LawReport("lifted-unit", True, cases)
+    def cases():
+        for a, b in sorted(s.pairs, key=atom_key):
+            v = (t.v_unit(a), t.v_unit(b))
+            yield "lifted-unit", (a, b), v, v if t.related(*v, s) else "member"
+
+    return run_cases("lifted-unit", cases())
 
 
 def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
@@ -319,8 +318,8 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
     by construction.
     """
     rng = random.Random(seed)
-    cases = 0
-    if t.enumerable:
+
+    def enumerated():
         lifted = t.lift(s)
         lifted_pairs = sorted(lifted.pairs, key=atom_key)
         # a nonempty sub-relation projects to nonempty sets of values of
@@ -335,37 +334,24 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
             )
         seen = set()
         for r in candidates:
-            if not r and not empty_is_value:
+            xi = (frozenset(p[0] for p in r), frozenset(p[1] for p in r))
+            if (not r and not empty_is_value) or xi in seen:
                 continue
-            xi1 = frozenset(p[0] for p in r)
-            xi2 = frozenset(p[1] for p in r)
-            if (xi1, xi2) in seen:
-                continue
-            seen.add((xi1, xi2))
-            cases += 1
-            m1 = t.v_mult(xi1, s.left)
-            m2 = t.v_mult(xi2, s.right)
-            if (m1, m2) not in lifted.pairs:
-                return LawReport(
-                    "lifted-mult", False, cases,
-                    {"diagram": "lifted-mult", "input": (xi1, xi2),
-                     "lhs": (m1, m2), "rhs": "member"}, seed)
-        return LawReport("lifted-mult", True, cases, seed=seed)
-    for _ in range(samples):
-        members = [project(t, nu, s.left, s.right)
-                   for nu in _sample_couplings(t, rng, s, rng.randint(1, 3))]
-        if not members:
-            break
-        xi1, xi2 = project(t, random_dist(rng, members, t.mode))
-        cases += 1
-        m1 = t.v_mult(xi1)
-        m2 = t.v_mult(xi2)
-        if not t.related(m1, m2, s):
-            return LawReport(
-                "lifted-mult", False, cases,
-                {"diagram": "lifted-mult", "input": (xi1, xi2),
-                 "lhs": (m1, m2), "rhs": "member"}, seed)
-    return LawReport("lifted-mult", True, cases, seed=seed)
+            seen.add(xi)
+            m = (t.v_mult(xi[0], s.left), t.v_mult(xi[1], s.right))
+            yield "lifted-mult", xi, m, m if m in lifted.pairs else "member"
+
+    def sampled():
+        for _ in range(samples):
+            members = [project(t, nu, s.left, s.right)
+                       for nu in _sample_couplings(t, rng, s, rng.randint(1, 3))]
+            if not members:
+                return
+            xi = project(t, random_dist(rng, members, t.mode))
+            m = (t.v_mult(xi[0]), t.v_mult(xi[1]))
+            yield "lifted-mult", xi, m, m if t.related(*m, s) else "member"
+
+    return run_cases("lifted-mult", enumerated() if t.enumerable else sampled(), seed)
 
 
 def lifted_strength_check(t: MonadInstance, s: Rel, s2: Rel, *,
@@ -374,21 +360,17 @@ def lifted_strength_check(t: MonadInstance, s: Rel, s2: Rel, *,
     the lifted product relation."""
     rng = random.Random(seed)
     sp = s.product(s2)
-    cases = 0
     if t.enumerable:
-        lifted2 = t.lift(s2)
-        related = sorted(lifted2.pairs, key=atom_key)
+        related = sorted(t.lift(s2).pairs, key=atom_key)
     else:
         related = [project(t, nu, s2.left, s2.right)
                    for nu in _sample_couplings(t, rng, s2, samples)]
-    for a, b in sorted(s.pairs, key=atom_key):
-        for w1, w2 in related:
-            cases += 1
-            v1 = t.v_strength(a, w1)
-            v2 = t.v_strength(b, w2)
-            if not t.related(v1, v2, sp):
-                return LawReport(
-                    "lifted-strength", False, cases,
-                    {"diagram": "lifted-strength", "input": ((a, b), (w1, w2)),
-                     "lhs": (v1, v2), "rhs": "member"}, seed)
-    return LawReport("lifted-strength", True, cases, seed=seed)
+
+    def cases():
+        for a, b in sorted(s.pairs, key=atom_key):
+            for w in related:
+                v = (t.v_strength(a, w[0]), t.v_strength(b, w[1]))
+                yield ("lifted-strength", ((a, b), w), v,
+                       v if t.related(*v, sp) else "member")
+
+    return run_cases("lifted-strength", cases(), seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .finset import FinSet, Rel, UNIT, UNIT_ATOM, atom_key, product_set
-from .lawcheck import LawReport
+from .lawcheck import LawReport, run_cases
 from .monads import MonadInstance
 
 
@@ -681,19 +681,15 @@ def basic_lemma_check(model1: Model, model2: Model, base_rels, ctx,
     within_limit(f"the product of the relations at {', '.join(names)}",
                  math.prod(map(len, pairs)), MAX_ENV_PAIRS)
     var_rels = [sorted(p, key=atom_key) for p in pairs]
-    cases = 0
-    for choice in itertools.product(*var_rels):
-        env1 = {x: p[0] for x, p in zip(names, choice)}
-        env2 = {x: p[1] for x, p in zip(names, choice)}
-        cases += 1
-        d1 = eval_term(model1, env1, t)
-        d2 = eval_term(model2, env2, t)
-        if (d1, d2) not in rel.pairs:
-            return LawReport(
-                "basic-lemma", False, cases,
-                {"diagram": "basic-lemma", "input": (env1, env2),
-                 "lhs": (d1, d2), "rhs": "member"})
-    return LawReport("basic-lemma", True, cases)
+
+    def cases():
+        for choice in itertools.product(*var_rels):
+            env1 = {x: p[0] for x, p in zip(names, choice)}
+            env2 = {x: p[1] for x, p in zip(names, choice)}
+            d = (eval_term(model1, env1, t), eval_term(model2, env2, t))
+            yield "basic-lemma", (env1, env2), d, d if d in rel.pairs else "member"
+
+    return run_cases("basic-lemma", cases())
 
 
 # --------------------------------------------------------- term synthesis

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from monarel import (FinSet, LTS, PLTS, RatDist, Rel, check_bisimulation,
-                     check_prob_bisimulation, largest_bisimulation,
-                     larsen_skou_check, lift_member_dist, random_dist,
-                     saturate, tagged_states)
+from monarel import (FinSet, LTS, PLTS, RatDist, Rel, TransitionSystem,
+                     check_bisimulation, check_prob_bisimulation,
+                     largest_bisimulation, larsen_skou_check,
+                     lift_member_dist, random_dist, saturate, tagged_states)
 
 F = Fraction
 
@@ -50,6 +50,44 @@ def test_lts_validates_carriers():
 def test_lts_missing_steps_default_to_empty():
     m = lts(["a"], ["l"], {})
     assert m.step("a", "l") == frozenset()
+
+
+SUB_HALF = RatDist({"a": F(1, 2)}, "subprobability")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: lts(["a"], ["l"], {("z", "l"): {"a"}}), "unknown state 'z'"),
+    (lambda: lts(["a"], ["l"], {("a", "k"): {"a"}}), "unknown label 'k'"),
+    (lambda: lts(["a"], ["l"], {("a", "l"): {"z"}}),
+     "successor 'z' outside the carrier"),
+    (lambda: plts(["a"], ["l"], {("z", "l"): {"a": F(1)}}),
+     "unknown state 'z'"),
+    (lambda: plts(["a"], ["l"], {("a", "k"): {"a": F(1)}}),
+     "unknown label 'k'"),
+    (lambda: plts(["a"], ["l"], {("a", "l"): {"z": F(1)}}),
+     "successor 'z' outside the carrier"),
+    (lambda: plts(["a"], ["l"], {("a", "l"): SUB_HALF}),
+     "step ('a','l') has mode subprobability, system is probability"),
+    (lambda: plts(["a", "b"], ["l"], {("a", "l"): {"a": F(1)}}),
+     "missing step for ('b','l') in probability mode"),
+    (lambda: plts(["a"], ["l"], {("a", "l"): SUB_HALF}, "bogus"),
+     "unknown mode 'bogus'"),
+], ids=["lts-state", "lts-label", "lts-successor", "plts-state",
+        "plts-label", "plts-successor", "plts-mode", "plts-missing",
+        "plts-unknown-mode"])
+def test_single_faults_give_their_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_missing_steps_return_one_stored_value():
+    m = lts(["a", "b"], ["l"], {})
+    assert m.step("a", "l") == frozenset()
+    assert m.step("a", "l") is m.step("b", "l")
+    p = plts(["a", "b"], ["l"], {}, mode="subprobability")
+    assert p.step("a", "l") == RatDist({}, "subprobability")
+    assert p.step("a", "l") is p.step("b", "l")
 
 
 def test_isomorphic_one_step_systems_are_bisimilar():
@@ -238,6 +276,23 @@ def test_larsen_skou_validates_the_partition():
                               ("R", "t'")})]
     with pytest.raises(ValueError):
         larsen_skou_check(HALF_SYS, ONE_SYS, overlapping)
+
+
+def test_larsen_skou_needs_systems_that_step_in_distributions():
+    classes = [frozenset({("L", "a"), ("R", "x")})]
+    for f1, f2 in [(lts(["a"], ["l"], {}), lts(["x"], ["l"], {})),
+                   (plts(["a"], ["l"], {("a", "l"): {"a": F(1)}}),
+                    lts(["x"], ["l"], {}))]:
+        with pytest.raises(ValueError, match="class masses need systems "
+                           "that step in distributions"):
+            larsen_skou_check(f1, f2, classes)
+
+
+def test_both_kinds_are_one_transition_system_type():
+    m, p = lts(["a"], ["l"], {}), plts(["a"], ["l"], {}, "subprobability")
+    assert isinstance(m, TransitionSystem) and isinstance(p, TransitionSystem)
+    assert (m.mode, p.mode) == (None, "subprobability")
+    assert check_prob_bisimulation is check_bisimulation
 
 
 def random_plts(rng, states, labels):

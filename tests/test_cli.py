@@ -373,6 +373,21 @@ def test_basic_lemma_rejects_vacuous_flags(capsys, j, argv, needle):
     assert "related" not in out
 
 
+@pytest.mark.parametrize("ctx,term,message", [
+    (":b", "val x", "--ctx entry ':b' has an empty variable name"),
+    (" :T b, x:b", None, "--ctx entry ':T b' has an empty variable name"),
+    ("x:b, x:T b", "val x", "--ctx repeats the variable 'x'"),
+    ("x:b, m:T b, x:b", None, "--ctx repeats the variable 'x'"),
+])
+def test_basic_lemma_rejects_empty_and_repeated_ctx_names(capsys, j, ctx,
+                                                          term, message):
+    argv = ["--term", j("t.ml", term)] if term else ["--count", "2"]
+    code, out, err = run(capsys, "basic-lemma",
+                         "--model1", j("m1.json", MODEL),
+                         "--model2", j("m2.json", MODEL), "--ctx", ctx, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_basic_lemma_refuses_too_many_environment_pairs(capsys, j):
     # b -> T b over three fully related atoms: 117,650 related pairs of
     # graphs per variable, so about 1.4e10 pairs of environments

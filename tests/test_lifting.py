@@ -8,14 +8,16 @@ import pytest
 import oracles
 from test_lawcheck import mutant_powerset
 
-from monarel import (FinSet, Model, RatDist, Rel, converse_coupling,
-                     dist_monad, is_saturated, lift_enumerate,
-                     lift_member_dist, lift_member_dist_saturated,
-                     lift_member_powerset, lifted_mult_check,
-                     lifted_strength_check, lifted_unit_check,
+from monarel import (FinSet, LawReport, Model, RatDist, Rel,
+                     converse_coupling, dist_monad, is_saturated,
+                     lift_enumerate, lift_member_dist,
+                     lift_member_dist_saturated, lift_member_powerset,
+                     lifted_mult_check, lifted_strength_check,
+                     lifted_unit_check,
                      logical_relation, nonempty_powerset_monad, parse_ty,
                      powerset_monad, random_dist, saturate, subsets,
                      upper_monad)
+from monarel.lifting import class_sides
 
 F = Fraction
 
@@ -473,3 +475,85 @@ def test_lifted_unit_detects_a_hole():
     s = Rel(A12, AB, [("1", "a")])
     r = lifted_unit_check(t, s)
     assert r.ok and r.cases == 1
+
+
+# ------------------------------------------- pinned lifted-check reports
+
+def _twisted(t, **ops):
+    """A copy of t with the named value operations replaced."""
+    t = copy.copy(t)
+    for name, op in ops.items():
+        setattr(t, "_" + name, op)
+    return t
+
+
+SUB = "subprobability"
+
+
+def _drop_least(tt, obj=None):
+    # the flattened subdistribution without its least support point
+    out = {}
+    for inner, w in tt.weights.items():
+        for x, v in inner.weights.items():
+            out[x] = out.get(x, 0) + w * v
+    out.pop(min(out), None)
+    return RatDist(out, SUB)
+
+
+def test_failing_lifted_unit_report_is_pinned():
+    t = _twisted(powerset_monad(),
+                 unit=lambda x: frozenset() if x == "2" else frozenset([x]))
+    assert lifted_unit_check(t, S_STAIR) == LawReport(
+        "lifted-unit", False, 2,
+        {"diagram": "lifted-unit", "input": ("2", "a"),
+         "lhs": (frozenset(), frozenset({"a"})), "rhs": "member"}, None)
+
+
+def test_failing_lifted_mult_reports_are_pinned():
+    t = _twisted(powerset_monad(), mult=lambda tt, obj: frozenset(
+        sorted((x for s in tt for x in s), key=str)[1:]))
+    assert lifted_mult_check(t, S_STAIR) == LawReport(
+        "lifted-mult", False, 4,
+        {"diagram": "lifted-mult",
+         "input": (frozenset({frozenset({"1", "2"})}),
+                   frozenset({frozenset({"a"})})),
+         "lhs": (frozenset({"2"}), frozenset()), "rhs": "member"}, 0)
+    t = _twisted(dist_monad(SUB), mult=_drop_least)
+    xi1 = RatDist({RatDist({"1": F(1, 3), "2": F(1, 4)}, SUB): F(2, 11)}, SUB)
+    xi2 = RatDist({RatDist({"a": F(5, 12), "b": F(1, 6)}, SUB): F(2, 11)}, SUB)
+    assert lifted_mult_check(t, S_STAIR, samples=10, seed=3) == LawReport(
+        "lifted-mult", False, 2,
+        {"diagram": "lifted-mult", "input": (xi1, xi2),
+         "lhs": (RatDist({"2": F(1, 22)}, SUB), RatDist({"b": F(1, 33)}, SUB)),
+         "rhs": "member"}, 3)
+
+
+def test_failing_lifted_strength_report_is_pinned():
+    t = _twisted(powerset_monad(), strength=lambda x, v: frozenset(
+        (x, y) for y in v if y != "b"))
+    assert lifted_strength_check(t, S_STAIR, S_STAIR) == LawReport(
+        "lifted-strength", False, 7,
+        {"diagram": "lifted-strength",
+         "input": (("1", "a"), (frozenset({"2"}), frozenset({"b"}))),
+         "lhs": (frozenset({("1", "2")}), frozenset()), "rhs": "member"}, 0)
+
+
+@pytest.mark.parametrize("t", [powerset_monad(), dist_monad("probability"),
+                               dist_monad(SUB)], ids=lambda t: t.name)
+def test_lifted_checks_pass_with_zero_cases_on_the_empty_relation(t):
+    empty = Rel(A12, AB, [])
+    assert lifted_unit_check(t, empty) == LawReport(
+        "lifted-unit", True, 0, None, None)
+    assert lifted_strength_check(t, empty, S_STAIR, seed=4) == LawReport(
+        "lifted-strength", True, 0, None, 4)
+    # the empty set and the zero subdistribution live over no pairs, so
+    # only the probability distributions give lifted-mult no case at all
+    cases = {None: 2, "probability": 0, SUB: 100}[t.mode]
+    assert lifted_mult_check(t, empty, seed=4) == LawReport(
+        "lifted-mult", True, cases, None, 4)
+
+
+def test_class_sides_split_a_tagged_class():
+    cls = frozenset({("L", "1"), ("R", "a"), ("L", "2")})
+    assert class_sides(cls) == ({"1", "2"}, {"a"})
+    assert class_sides(frozenset({("R", "b")})) == (set(), {"b"})

@@ -1,11 +1,13 @@
+import copy
 import itertools
 import random
 
 import pytest
 
 import oracles
-from monarel import (FinSet, Model, ParseError, Rel, TypecheckError,
-                     basic_lemma_check, denote, dist_monad, eval_term,
+from monarel import (FinSet, LawReport, Model, ParseError, Rel,
+                     TypecheckError, basic_lemma_check, denote, dist_monad,
+                     eval_term,
                      logical_relation, nonempty_powerset_monad, parse,
                      parse_ty, powerset_monad, synthesize, term_size,
                      term_str, typecheck, upper_monad)
@@ -357,3 +359,23 @@ def test_synthesize_respects_type_and_size():
             continue
         assert typecheck(ctx, t) == TTy(Base("b"))
         assert term_size(t) <= 8
+
+
+def test_failing_basic_lemma_report_is_pinned():
+    # a unit that loses a1 in the first model only
+    lossy = copy.copy(powerset_monad())
+    lossy._unit = lambda x: frozenset() if x == "a1" else frozenset([x])
+    rep = basic_lemma_check(Model(lossy, {"b": B}), MODEL, {"b": DIAG},
+                            {"m": TTy(Base("b"))},
+                            parse("let val y = m in val y"))
+    both = frozenset({"a0", "a1"})
+    assert rep == LawReport(
+        "basic-lemma", False, 3,
+        {"diagram": "basic-lemma", "input": ({"m": both}, {"m": both}),
+         "lhs": (frozenset({"a0"}), both), "rhs": "member"}, None)
+
+
+def test_basic_lemma_passes_with_zero_cases_on_an_empty_relation():
+    rep = basic_lemma_check(MODEL, MODEL, {"b": Rel(B, B, [])},
+                            {"x": Base("b")}, parse("val x"))
+    assert rep == LawReport("basic-lemma", True, 0, None, None)
