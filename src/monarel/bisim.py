@@ -90,6 +90,11 @@ def _same_monad(f1, f2):
             f"systems step in different monads: {f1.monad.name} vs {f2.monad.name}")
 
 
+def _label_carriers(rl, f1, f2):
+    if rl.left != f1.labels or rl.right != f2.labels:
+        raise ValueError("label relation does not match the label sets")
+
+
 def check_bisimulation(s: Rel, f1: TransitionSystem, f2: TransitionSystem,
                        rl: Rel) -> BisimResult:
     """S is a bisimulation: related states take related-label steps into
@@ -98,8 +103,7 @@ def check_bisimulation(s: Rel, f1: TransitionSystem, f2: TransitionSystem,
     _same_monad(f1, f2)
     if s.left != f1.states or s.right != f2.states:
         raise ValueError("relation carriers do not match the state spaces")
-    if rl.left != f1.labels or rl.right != f2.labels:
-        raise ValueError("label relation does not match the label sets")
+    _label_carriers(rl, f1, f2)
     for a1, a2 in sorted(s.pairs, key=atom_key):
         for l1, l2 in sorted(rl.pairs, key=atom_key):
             succ = (f1.step(a1, l1), f2.step(a2, l2))
@@ -130,6 +134,7 @@ def largest_bisimulation(f1, f2, rl: Rel = None) -> Rel:
         if f1.labels != f2.labels:
             raise ValueError("label sets differ; pass an explicit relation")
         rl = Rel.diagonal(f1.labels)
+    _label_carriers(rl, f1, f2)
 
     related = f1.monad.related
     label_pairs = sorted(rl.pairs, key=atom_key)

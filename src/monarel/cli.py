@@ -19,9 +19,9 @@ from .bisim import check_bisimulation, largest_bisimulation, larsen_skou_check
 from .finset import Rel, atom_key, atom_str
 from .lawcheck import SET, check_cartesian, standard_battery
 from .lifting import lift_member_dist_saturated
-from .metalang import (ParseError, TTy, TypecheckError, basic_lemma_check,
-                       logical_relation, parse, parse_ty, synthesize, t_size,
-                       term_str, type_pool, typecheck, within_limit)
+from .metalang import (TTy, basic_lemma_check, logical_relation, parse,
+                       parse_ty, synthesize, t_size, term_str, type_pool,
+                       typecheck, within_limit)
 from .poset import ORD, lift_relation_ord
 
 
@@ -29,33 +29,51 @@ class _Usage(Exception):
     pass
 
 
-def _read_json(path):
+def _checked(fn, *args, where=None):
+    """fn(*args), with the ValueError by which the library refuses an
+    input turned into a usage error ("where: " first when given); main
+    catches no ValueError, so one raised elsewhere keeps its traceback."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return fn(*args)
+    except ValueError as e:
+        raise _Usage(str(e) if where is None else f"{where}: {e}")
+
+
+def _read(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise _Usage(f"{path}: no such file")
+    except OSError as e:
+        raise _Usage(f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise _Usage(f"{path}: {e}")
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise _Usage(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
 
 
 def _load(path, loader):
-    obj = _read_json(path)
-    try:
-        return loader(obj)
-    except ValueError as e:
-        raise _Usage(f"{path}: {e}")
+    return _checked(loader, _read_json(path), where=path)
 
 
-def _emit(args, payload):
+def _emit(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _print_pairs(pairs):
+    for a, b in sorted(pairs, key=atom_key):
+        print(f"  {atom_str(a)}  ~  {atom_str(b)}")
+
+
 def _monad(args):
-    try:
-        return jsonio.monad_by_name(args.monad, getattr(args, "mode", "probability"))
-    except ValueError as e:
-        raise _Usage(str(e))
+    return _checked(jsonio.monad_by_name, args.monad,
+                    getattr(args, "mode", "probability"))
 
 
 # ------------------------------------------------------------- commands
@@ -67,17 +85,18 @@ def cmd_check_laws(args):
     if args.samples < 1:
         raise _Usage("--samples must be at least 1")
     cat = ORD if t.category == "ord" else SET
-    try:
+
+    def battery():
         sets = cat.default_sets(args.max_size)
-        reports = standard_battery(t, sets, samples=args.samples,
-                                   seed=args.seed, category=cat)
-        cartesian = check_cartesian(t, sets, samples=args.samples,
-                                    seed=args.seed, category=cat)
-    except ValueError as e:
-        raise _Usage(f"--max-size {args.max_size}: {e}")
+        return (standard_battery(t, sets, samples=args.samples,
+                                 seed=args.seed, category=cat),
+                check_cartesian(t, sets, samples=args.samples,
+                                seed=args.seed, category=cat))
+
+    reports, cartesian = _checked(battery, where=f"--max-size {args.max_size}")
     ok = all(r.ok for r in reports)
     if args.json:
-        _emit(args, {
+        _emit({
             "monad": t.name, "seed": args.seed, "ok": ok,
             "reports": [jsonio.report_json(r) for r in reports],
             "cartesian": jsonio.report_json(cartesian),
@@ -116,19 +135,15 @@ def cmd_lift(args):
     if t.category == "ord":
         raise _Usage("use 'poset-lift' for the ordered monad")
     s = _load(args.S, jsonio.load_rel)
-    try:
-        within_limit(f"T S over {len(s.pairs)} pairs",
-                     t_size(t, len(s.pairs)), MAX_LIFT)
-    except ValueError as e:
-        raise _Usage(f"{args.S}: {e}")
+    _checked(within_limit, f"T S over {len(s.pairs)} pairs",
+             t_size(t, len(s.pairs)), MAX_LIFT, where=args.S)
     lifted = t.lift(s)
     if args.json:
-        _emit(args, {"monad": t.name, "lifted": jsonio.rel_json(lifted)})
+        _emit({"monad": t.name, "lifted": jsonio.rel_json(lifted)})
     else:
         print(f"{len(lifted.pairs)} related pairs over "
               f"{len(lifted.left)} x {len(lifted.right)} carriers")
-        for a, b in sorted(lifted.pairs, key=atom_key):
-            print(f"  {atom_str(a)}  ~  {atom_str(b)}")
+        _print_pairs(lifted.pairs)
     return 0
 
 
@@ -157,13 +172,8 @@ def cmd_member(args):
             raise _Usage("distribution membership needs --nu1 and --nu2")
         v1 = _load_dist(args.nu1, t.mode)
         v2 = _load_dist(args.nu2, t.mode)
-    try:
-        if args.saturated:
-            got = lift_member_dist_saturated(v1, v2, s)
-        else:
-            got = t.related(v1, v2, s)
-    except ValueError as e:
-        raise _Usage(str(e))
+    decide = lift_member_dist_saturated if args.saturated else t.related
+    got = _checked(decide, v1, v2, s)
     member = bool(got)
     witness = getattr(got, "witness", None)
     violated = getattr(got, "violated", None)
@@ -172,7 +182,7 @@ def cmd_member(args):
         if not t.enumerable:
             payload["witness"] = jsonio.value_json(witness) if witness else None
             payload["violated"] = list(violated) if violated else None
-        _emit(args, payload)
+        _emit(payload)
     elif member:
         print("member")
         if witness is not None:
@@ -207,12 +217,9 @@ def _bisim_common(args, loader):
     s = _rel_or_diagonal(args.rel, f1.states, f2.states,
                          "state spaces differ; pass --rel")
     rl = _label_rel(args, f1, f2)
-    try:
-        got = check_bisimulation(s, f1, f2, rl)
-    except ValueError as e:
-        raise _Usage(str(e))
+    got = _checked(check_bisimulation, s, f1, f2, rl)
     if args.json:
-        _emit(args, {
+        _emit({
             "bisimulation": got.ok,
             "counterexample": jsonio.value_json(got.counterexample),
         })
@@ -238,29 +245,17 @@ def cmd_prob_bisim(args):
 
 
 def cmd_max_bisim(args):
-    kind = args.kind
-    loader = jsonio.load_lts if kind == "powerset" else jsonio.load_plts
-    if kind == "auto":
-        raw = _read_json(args.sys1)
-        if not isinstance(raw, dict):
-            raise _Usage(f"{args.sys1}: a transition system must be an object")
-        step = raw.get("step")
-        probabilistic = isinstance(step, dict) and any(
-            isinstance(v, dict) for v in step.values())
-        loader = jsonio.load_plts if probabilistic else jsonio.load_lts
-    f1 = _load(args.sys1, loader)
-    f2 = _load(args.sys2, loader)
+    # the first system's file decides the kind, the second must match it
+    f1 = _load(args.sys1, jsonio.load_system)
+    f2 = _load(args.sys2,
+               jsonio.load_lts if f1.mode is None else jsonio.load_plts)
     rl = _label_rel(args, f1, f2)
-    try:
-        best = largest_bisimulation(f1, f2, rl)
-    except ValueError as e:
-        raise _Usage(str(e))
+    best = _checked(largest_bisimulation, f1, f2, rl)
     if args.json:
-        _emit(args, {"largest": jsonio.rel_json(best)})
+        _emit({"largest": jsonio.rel_json(best)})
     else:
         print(f"largest bisimulation: {len(best.pairs)} pairs")
-        for a, b in sorted(best.pairs, key=atom_key):
-            print(f"  {a}  ~  {b}")
+        _print_pairs(best.pairs)
     return 0
 
 
@@ -268,12 +263,9 @@ def cmd_larsen_skou(args):
     f1 = _load(args.sys1, jsonio.load_plts)
     f2 = _load(args.sys2, jsonio.load_plts)
     classes = _load(args.classes, jsonio.load_classes)
-    try:
-        ok = larsen_skou_check(f1, f2, classes)
-    except ValueError as e:
-        raise _Usage(str(e))
+    ok = _checked(larsen_skou_check, f1, f2, classes)
     if args.json:
-        _emit(args, {"bisimulation": ok})
+        _emit({"bisimulation": ok})
     else:
         print("probabilistic bisimulation" if ok else "class masses differ")
     return 0 if ok else 1
@@ -297,28 +289,19 @@ def _models_and_base(args):
 
 def cmd_logrel(args):
     m1, m2, base = _models_and_base(args)
-    try:
-        ty = parse_ty(args.type)
-    except ParseError as e:
-        raise _Usage(f"--type: {e}")
-    try:
-        rel = logical_relation(m1, m2, base, ty)
-    except ValueError as e:
-        raise _Usage(str(e))
+    ty = _checked(parse_ty, args.type, where="--type")
+    rel = _checked(logical_relation, m1, m2, base, ty)
     if args.json:
-        _emit(args, {"type": str(ty), "relation": jsonio.rel_json(rel)})
+        _emit({"type": str(ty), "relation": jsonio.rel_json(rel)})
     else:
         print(f"relation at {ty}: {len(rel.pairs)} pairs over "
               f"{len(rel.left)} x {len(rel.right)}")
-        for a, b in sorted(rel.pairs, key=atom_key):
-            print(f"  {atom_str(a)}  ~  {atom_str(b)}")
+        _print_pairs(rel.pairs)
     return 0
 
 
 def _parse_ctx(src):
     ctx = {}
-    if not src:
-        return ctx
     for part in src.split(","):
         part = part.strip()
         if not part:
@@ -331,37 +314,19 @@ def _parse_ctx(src):
             raise _Usage(f"--ctx entry {part!r} has an empty variable name")
         if name in ctx:
             raise _Usage(f"--ctx repeats the variable {name!r}")
-        try:
-            ctx[name] = parse_ty(ty)
-        except ParseError as e:
-            raise _Usage(f"--ctx {name!r}: {e}")
+        ctx[name] = _checked(parse_ty, ty, where=f"--ctx {name!r}")
     return ctx
-
-
-def _basic_lemma(m1, m2, base, ctx, t):
-    try:
-        return basic_lemma_check(m1, m2, base, ctx, t)
-    except ValueError as e:
-        raise _Usage(str(e))
 
 
 def cmd_basic_lemma(args):
     m1, m2, base = _models_and_base(args)
     ctx = _parse_ctx(args.ctx)
     if args.term:
-        try:
-            with open(args.term) as fh:
-                src = fh.read()
-        except FileNotFoundError:
-            raise _Usage(f"{args.term}: no such file")
-        try:
-            t = parse(src)
-            typecheck(ctx, t)
-        except (ParseError, TypecheckError) as e:
-            raise _Usage(f"{args.term}: {e}")
-        rep = _basic_lemma(m1, m2, base, ctx, t)
+        t = _checked(parse, _read(args.term), where=args.term)
+        _checked(typecheck, ctx, t, where=args.term)
+        rep = _checked(basic_lemma_check, m1, m2, base, ctx, t)
         if args.json:
-            _emit(args, {"term": term_str(t), "report": jsonio.report_json(rep)})
+            _emit({"term": term_str(t), "report": jsonio.report_json(rep)})
         else:
             print(f"{term_str(t)}: {'related' if rep.ok else 'NOT related'} "
                   f"({rep.cases} environment pairs)")
@@ -388,14 +353,14 @@ def cmd_basic_lemma(args):
         t = synthesize(rng, ctx, ty, args.max_size)
         if t is None:
             continue
-        rep = _basic_lemma(m1, m2, base, ctx, t)
+        rep = _checked(basic_lemma_check, m1, m2, base, ctx, t)
         checked += 1
         if not rep.ok:
             failures.append((t, rep))
             break
     ok = not failures
     if args.json:
-        _emit(args, {
+        _emit({
             "seed": args.seed, "count": checked, "ok": ok,
             "failure": None if ok else {
                 "term": term_str(failures[0][0]),
@@ -414,13 +379,10 @@ def cmd_basic_lemma(args):
 
 def cmd_poset_lift(args):
     s = _load(args.rel, jsonio.load_ordered_rel)
-    try:
-        for what, n in (("the left poset", len(s.left)),
-                        ("the right poset", len(s.right)),
-                        ("the relation", len(s.pairs))):
-            within_limit(what, n, MAX_POSET_LIFT)
-    except ValueError as e:
-        raise _Usage(f"{args.rel}: {e}")
+    for what, n in (("the left poset", len(s.left)),
+                    ("the right poset", len(s.right)),
+                    ("the relation", len(s.pairs))):
+        _checked(within_limit, what, n, MAX_POSET_LIFT, where=args.rel)
     systems = (["epi-regmono", "extremalepi-mono"]
                if args.system == "both" else [args.system])
     results = {name: lift_relation_ord(s, name) for name in systems}
@@ -431,13 +393,12 @@ def cmd_poset_lift(args):
             a, b = results.values()
             payload["same_pairs"] = a.pairs == b.pairs
             payload["same_order"] = a.order == b.order
-        _emit(args, payload)
+        _emit(payload)
     else:
         for name, r in results.items():
             print(f"[{name}] {len(r.pairs)} pairs, "
                   f"{sum(1 for p, q in r.order if p != q)} strict order pairs")
-            for a, b in sorted(r.pairs, key=atom_key):
-                print(f"  {atom_str(a)}  ~  {atom_str(b)}")
+            _print_pairs(r.pairs)
         if len(results) == 2:
             a, b = results.values()
             print(f"pair sets {'agree' if a.pairs == b.pairs else 'DIFFER'}; "
@@ -536,8 +497,6 @@ def _build_parser():
     sp.add_argument("--sys1", required=True)
     sp.add_argument("--sys2", required=True)
     sp.add_argument("--labels")
-    sp.add_argument("--kind", default="auto",
-                    choices=["auto", "powerset", "dist"])
     common(sp, seeded=False)
 
     sp = sub.add_parser("larsen-skou", help="class-mass bisimulation check")

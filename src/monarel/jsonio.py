@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .bisim import LTS, PLTS, TransitionSystem
-from .finset import FinSet, Rel, atom_key
+from .finset import FinSet, Rel, atom_key, atom_str
 from .lawcheck import LawReport
 from .metalang import Model
 from .monads import MODES, MonadInstance, RatDist, dist_monad, \
@@ -90,11 +90,16 @@ def load_ratdist(obj, carrier: FinSet = None, mode="probability") -> RatDist:
 
 
 def _step_carriers(obj):
+    """States and labels, after the checks an LTS and a PLTS share."""
+    _require(isinstance(obj, dict), "a transition system must be an object")
+    for key in ("states", "labels", "step"):
+        _require(key in obj, f"transition system needs a {key!r} field")
     states = load_finset(obj["states"])
     labels = load_finset(obj["labels"])
     for atom in list(states) + list(labels):
         _require("|" not in atom,
                  f"atom {atom!r} contains '|', which step keys reserve")
+    _require(isinstance(obj["step"], dict), "'step' must be an object")
     return states, labels
 
 
@@ -108,11 +113,7 @@ def _split_step_key(key, states: FinSet, labels: FinSet):
 
 
 def load_lts(obj) -> TransitionSystem:
-    _require(isinstance(obj, dict), "a transition system must be an object")
-    for key in ("states", "labels", "step"):
-        _require(key in obj, f"transition system needs a {key!r} field")
     states, labels = _step_carriers(obj)
-    _require(isinstance(obj["step"], dict), "'step' must be an object")
     step = {}
     for key, succs in obj["step"].items():
         s, l = _split_step_key(key, states, labels)
@@ -123,12 +124,8 @@ def load_lts(obj) -> TransitionSystem:
 
 
 def load_plts(obj) -> TransitionSystem:
-    _require(isinstance(obj, dict), "a transition system must be an object")
-    for key in ("states", "labels", "step"):
-        _require(key in obj, f"transition system needs a {key!r} field")
     states, labels = _step_carriers(obj)
     mode = obj.get("mode", "probability")
-    _require(isinstance(obj["step"], dict), "'step' must be an object")
     step = {}
     for key, dist in obj["step"].items():
         s, l = _split_step_key(key, states, labels)
@@ -139,6 +136,14 @@ def load_plts(obj) -> TransitionSystem:
                  f"step {key!r} has mode {nu.mode}, system says {mode}")
         step[(s, l)] = nu
     return PLTS(states, labels, step, mode)
+
+
+def load_system(obj) -> TransitionSystem:
+    """A PLTS when some step is an object (a distribution), else an LTS."""
+    step = obj.get("step") if isinstance(obj, dict) else None
+    probabilistic = isinstance(step, dict) and any(
+        isinstance(v, dict) for v in step.values())
+    return load_plts(obj) if probabilistic else load_lts(obj)
 
 
 def load_poset(obj) -> FinPoset:
@@ -232,7 +237,6 @@ def _json_key(x):
 
 
 def _flat(v) -> str:
-    from .finset import atom_str
     if isinstance(v, RatDist):
         inner = ",".join(f"{_flat(x)}:{w}" for x, w in v.items())
         return "{" + inner + "}"
@@ -247,16 +251,15 @@ def rel_json(r: Rel):
     return {
         "left": finset_json(r.left),
         "right": finset_json(r.right),
-        "pairs": [[value_json(a), value_json(b)]
-                  for a, b in sorted(r.pairs, key=atom_key)],
+        "pairs": [value_json(p) for p in sorted(r.pairs, key=atom_key)],
     }
 
 
 def poset_json(p: FinPoset):
     return {
         "carrier": finset_json(p.carrier),
-        "leq": [[value_json(a), value_json(b)]
-                for a, b in sorted(p.pairs, key=atom_key) if a != b],
+        "leq": [value_json(q) for q in sorted(p.pairs, key=atom_key)
+                if q[0] != q[1]],
     }
 
 
@@ -264,11 +267,9 @@ def ordered_rel_json(r: OrderedRel):
     return {
         "left": poset_json(r.left),
         "right": poset_json(r.right),
-        "pairs": [[value_json(a), value_json(b)]
-                  for a, b in sorted(r.pairs, key=atom_key)],
-        "order": [[[value_json(p[0]), value_json(p[1])],
-                   [value_json(q[0]), value_json(q[1])]]
-                  for p, q in sorted(r.order, key=atom_key) if p != q],
+        "pairs": [value_json(p) for p in sorted(r.pairs, key=atom_key)],
+        "order": [value_json(pq) for pq in sorted(r.order, key=atom_key)
+                  if pq[0] != pq[1]],
     }
 
 

@@ -84,14 +84,6 @@ def _snd(p):
     return p[1]
 
 
-def _lunit(p):
-    return p[1]
-
-
-def _runit(p):
-    return p[0]
-
-
 def _dist_value(t: MonadInstance, rng, carrier, level):
     if level == 1:
         return random_dist(rng, carrier, t.mode)
@@ -204,7 +196,7 @@ def check_strength_laws(t, sets, category, rng, per):
     """The four strength diagrams over the canonical product structure."""
     for b in sets:
         for beta in _values(t, rng, b, 1, per):
-            lhs = t.v_map(_lunit, t.v_strength(UNIT_ATOM, beta), b)
+            lhs = t.v_map(_snd, t.v_strength(UNIT_ATOM, beta), b)
             yield "strength-lunit", beta, lhs, beta
     for a, b in product(sets, repeat=2):
         for x, y in product(a, b):
@@ -233,9 +225,9 @@ def check_mediator_laws(t, sets, category, rng, per):
     unit_dirac = t.v_unit(UNIT_ATOM)
     for b in sets:
         for beta in _values(t, rng, b, 1, per):
-            lhs = t.v_map(_lunit, t.v_mediator(unit_dirac, beta), b)
+            lhs = t.v_map(_snd, t.v_mediator(unit_dirac, beta), b)
             yield "mediator-lunit", beta, lhs, beta
-            rhs = t.v_map(_runit, t.v_mediator(beta, unit_dirac), b)
+            rhs = t.v_map(_fst, t.v_mediator(beta, unit_dirac), b)
             yield "mediator-runit", beta, rhs, beta
     for a, b in product(sets, repeat=2):
         for x, y in product(a, b):

@@ -2,9 +2,9 @@
 
 A relation S between A1 and A2 lifts to a relation between T A1 and
 T A2: the direct image of T S under the two pushforward projections
-(T pi1, T pi2), which `project` computes for one value of T S.  The
-ordered lifting in poset.py is the same image with an order on it.
-For enumerable monads the lifted relation is materialized
+(T pi1, T pi2), which `lawcheck.product_delta` computes for one value
+of T S.  The ordered lifting in poset.py is the same image with an
+order on it.  For enumerable monads the lifted relation is materialized
 (MonadInstance.lift): the powersets build it by union closure, without
 walking T S, and other monads take the image of every value of T S
 (`lift_enumerate`, which stays the definition the tests compare
@@ -27,26 +27,20 @@ from typing import TYPE_CHECKING
 
 from .dist import RatDist, random_dist
 from .finset import FinSet, Rel, atom_key, product_set, subsets
-from .lawcheck import LawReport, run_cases
+from .lawcheck import LawReport, product_delta, run_cases
 
 if TYPE_CHECKING:
     from .monads import MonadInstance
 
 
-def project(t: MonadInstance, r, left=None, right=None) -> tuple:
-    """(T pi1 r, T pi2 r) for a value r of T over pairs; left and right
-    are the carriers the two pushforwards land in."""
-    return t.v_map(lambda p: p[0], r, left), t.v_map(lambda p: p[1], r, right)
-
-
 def lift_enumerate(t: MonadInstance, s: Rel) -> Rel:
     """The lifted relation over (T A1, T A2), materialized.
 
-    Pairs are exactly the images project(R) of elements R of T S.
+    Pairs are exactly the images product_delta(R) of elements R of T S.
     """
     if not t.enumerable:
         raise ValueError(f"monad {t.name} is not enumerable")
-    pairs = {project(t, r, s.left, s.right) for r in t.apply(s.as_finset())}
+    pairs = {product_delta(t, r, s.left, s.right) for r in t.apply(s.as_finset())}
     return Rel(t.apply(s.left), t.apply(s.right), pairs)
 
 
@@ -343,11 +337,11 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
 
     def sampled():
         for _ in range(samples):
-            members = [project(t, nu, s.left, s.right)
+            members = [product_delta(t, nu, s.left, s.right)
                        for nu in _sample_couplings(t, rng, s, rng.randint(1, 3))]
             if not members:
                 return
-            xi = project(t, random_dist(rng, members, t.mode))
+            xi = product_delta(t, random_dist(rng, members, t.mode))
             m = (t.v_mult(xi[0]), t.v_mult(xi[1]))
             yield "lifted-mult", xi, m, m if t.related(*m, s) else "member"
 
@@ -363,7 +357,7 @@ def lifted_strength_check(t: MonadInstance, s: Rel, s2: Rel, *,
     if t.enumerable:
         related = sorted(t.lift(s2).pairs, key=atom_key)
     else:
-        related = [project(t, nu, s2.left, s2.right)
+        related = [product_delta(t, nu, s2.left, s2.right)
                    for nu in _sample_couplings(t, rng, s2, samples)]
 
     def cases():

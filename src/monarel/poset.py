@@ -4,12 +4,12 @@ The monad sends a poset to its nonempty antichains under the Smyth
 ordering (E below F when every generator of F sits above some generator
 of E); an antichain stands for the upper set it generates.  A relation
 lifts as it does over sets (lifting.py): the pairs are the image of
-T S under (T pi1, T pi2).  The two mono factorization systems differ
-only in the order they put on that image: the product order restricted
-to it (surjection followed by embedding), or the order generated by
-pushing the order of T S forward (quotient followed by an injective
-monotone map).  Either way the lifted pairs are the same; only the
-orderings may differ.
+T S under (T pi1, T pi2), which `lawcheck.product_delta` computes.  The
+two mono factorization systems differ only in the order they put on
+that image: the product order restricted to it (surjection followed by
+embedding), or the order generated by pushing the order of T S forward
+(quotient followed by an injective monotone map).  Either way the
+lifted pairs are the same; only the orderings may differ.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .finset import FinSet, atom_key, product_set, subsets
-from .lifting import project
+from .lawcheck import product_delta
 from .monads import MonadInstance
 
 
@@ -221,7 +221,7 @@ class OrderedRel:
                 (p, q) for p in pairs for q in pairs
                 if left.le(p[0], q[0]) and right.le(p[1], q[1])
             }
-        self._poset = FinPoset(FinSet(sorted(pairs, key=atom_key)), order)
+        self._poset = FinPoset(FinSet(pairs), order)
         for p, q in self._poset.pairs:
             if not (left.le(p[0], q[0]) and right.le(p[1], q[1])):
                 raise ValueError(
@@ -285,7 +285,7 @@ def lift_relation_ord(s: OrderedRel, system: str) -> OrderedRel:
     _check_system(system)
     t = upper_monad()
     tsp = t.apply(s.as_poset())
-    phi = {q: project(t, q, s.left, s.right) for q in tsp}
+    phi = {q: product_delta(t, q, s.left, s.right) for q in tsp}
     return factorize_ord(phi, tsp, t.apply(s.left), t.apply(s.right), system)
 
 

@@ -229,6 +229,19 @@ def test_largest_rejects_mixed_kinds():
         largest_bisimulation(m, HALF_SYS)
 
 
+def test_largest_rejects_a_label_relation_off_the_label_sets():
+    # over {x} x {y} the label relation pairs no label of either system:
+    # every step is then vacuous and every pair would survive
+    m = lts(["s", "t"], ["a", "b"], {("s", "a"): frozenset({"t"}),
+                                     ("t", "b"): frozenset({"s"})})
+    rl = Rel(FinSet(["x"]), FinSet(["y"]), {("x", "y")})
+    for check in (lambda: largest_bisimulation(m, m, rl),
+                  lambda: check_bisimulation(Rel.diagonal(m.states), m, m, rl)):
+        with pytest.raises(ValueError,
+                           match="label relation does not match the label sets"):
+            check()
+
+
 def test_tagged_states_are_disjoint():
     tags = tagged_states(HALF_SYS, ONE_SYS)
     assert ("L", "s") in tags and ("R", "s'") in tags

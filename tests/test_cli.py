@@ -299,6 +299,35 @@ def test_max_bisim_auto_detects_plts(capsys, j):
     assert ["s", "s'"] in parsed["largest"]["pairs"]
 
 
+def test_max_bisim_takes_the_kind_of_the_first_system(capsys, j):
+    lts = {"states": ["s"], "labels": ["l"], "step": {"s|l": ["s"]}}
+    code, out, _ = run(capsys, "max-bisim", "--sys1", j("1.json", lts),
+                       "--sys2", j("2.json", lts))
+    assert (code, out) == (0, "largest bisimulation: 1 pairs\n  s  ~  s\n")
+    # the second system is read as the same kind as the first
+    code, _, err = run(capsys, "max-bisim", "--sys1", j("1.json", lts),
+                       "--sys2", j("2.json", ONE_PLTS))
+    assert code == 2
+    assert "successors of \"s'|l\" must be an array of strings" in err
+    code, _, err = run(capsys, "max-bisim", "--sys1", j("1.json", lts),
+                       "--sys2", j("2.json", lts), "--kind", "powerset")
+    assert code == 2 and "unrecognized arguments: --kind" in err
+
+
+PING_PONG = {"states": ["s", "t"], "labels": ["a", "b"],
+             "step": {"s|a": ["t"], "t|b": ["s"]}}
+
+
+@pytest.mark.parametrize("command", ["bisim", "max-bisim"])
+def test_label_relation_off_the_label_sets_exits_2(capsys, j, command):
+    code, out, err = run(capsys, command,
+                         "--sys1", j("1.json", PING_PONG),
+                         "--sys2", j("2.json", PING_PONG),
+                         "--labels", j("l.json", full_rel("x", "y")))
+    assert (code, out) == (2, "")
+    assert err == "error: label relation does not match the label sets\n"
+
+
 def test_larsen_skou_command(capsys, j):
     classes = [["L:s", "R:s'"], ["L:t", "L:u", "R:t'"]]
     code, out, _ = run(capsys, "larsen-skou",
@@ -546,6 +575,42 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "no such file" in err
 
 
+MODEL = {"monad": "powerset", "base": {"b": ["1", "2"]}}
+
+
+def _unreadable(tmp_path, kind):
+    """A directory, or a file whose first byte is not UTF-8."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff[]")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("directory", "Is a directory"),
+    ("not-utf-8", "'utf-8' codec can't decode byte 0xff in position 0"),
+])
+@pytest.mark.parametrize("flag", ["--S", "--model1", "--term"])
+def test_unreadable_files_exit_2(capsys, tmp_path, j, flag, kind, reason):
+    bad = _unreadable(tmp_path, kind)
+    if flag == "--S":
+        argv = ["lift", "--monad", "powerset", "--S", bad]
+    else:
+        files = {"--model1": j("m1.json", MODEL),
+                 "--model2": j("m2.json", MODEL),
+                 "--term": j("t.txt", "val x")}
+        files[flag] = bad
+        argv = ["basic-lemma", "--ctx", "x:b"]
+        for pair in files.items():
+            argv += pair
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: {reason}")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -696,10 +761,7 @@ def _bisim_argv(draw, command):
         files["--labels"] = _rel(draw, labels, labels)
     if command != "max-bisim" and draw(st.booleans()):
         files["--rel"] = _rel(draw, states1, states2)
-    flags = []
-    if command == "max-bisim" and draw(st.booleans()):
-        flags = ["--kind", "powerset" if mode is None else "dist"]
-    return flags, files
+    return [], files
 
 
 @st.composite

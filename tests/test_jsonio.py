@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from monarel.jsonio import (MONAD_NAMES, finset_json, load_base_rels,
                             load_classes, load_finset, load_fraction,
                             load_lts, load_model, load_ordered_rel,
                             load_plts, load_poset, load_ratdist, load_rel,
-                            load_tagged, monad_by_name, ordered_rel_json,
-                            poset_json, rel_json, report_json, value_json)
+                            load_system, load_tagged, monad_by_name,
+                            ordered_rel_json, poset_json, rel_json,
+                            report_json, value_json)
 
 F = Fraction
 
@@ -81,6 +83,31 @@ def test_plts_mode_consistency():
         load_plts({"states": ["a"], "labels": ["l"], "mode": "subprobability",
                    "step": {"a|l": {"mode": "probability",
                                     "weights": {"a": "1"}}}})
+
+
+def test_load_system_reads_the_kind_from_the_steps():
+    lts = {"states": ["a"], "labels": ["l"], "step": {"a|l": ["a"]}}
+    assert load_system(lts).mode is None
+    assert load_system(dict(lts, step={})).mode is None
+    plts = {"states": ["a"], "labels": ["l"], "mode": "subprobability",
+            "step": {"a|l": {"a": "1/2"}}}
+    assert load_system(plts).mode == "subprobability"
+    assert load_system(plts).step("a", "l").weights == {"a": F(1, 2)}
+
+
+@pytest.mark.parametrize("load", [load_lts, load_plts, load_system])
+@pytest.mark.parametrize("obj,msg", [
+    ([], "a transition system must be an object"),
+    ({"states": [], "labels": []}, "transition system needs a 'step' field"),
+    ({"states": ["a"], "labels": "l", "step": {}},
+     "a finite set must be an array of strings"),
+    ({"states": ["a|b"], "labels": [], "step": {}},
+     "atom 'a|b' contains '|', which step keys reserve"),
+    ({"states": [], "labels": [], "step": []}, "'step' must be an object"),
+])
+def test_every_system_loader_checks_the_header_alike(load, obj, msg):
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        load(obj)
 
 
 def test_poset_round_trip():
