@@ -31,7 +31,6 @@ from .lawcheck import (
 from .lifting import (
     CouplingResult,
     converse_coupling,
-    is_saturated,
     lift_enumerate,
     lift_member_dist,
     lift_member_dist_saturated,
@@ -74,7 +73,6 @@ from .metalang import (
     parse,
     parse_ty,
     synthesize,
-    term_size,
     term_str,
     typecheck,
 )

@@ -63,7 +63,7 @@ def _load(path, loader):
 
 
 def _emit(payload):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(jsonio.dumps(payload))
 
 
 def _print_pairs(pairs):
@@ -387,7 +387,8 @@ def cmd_poset_lift(args):
                if args.system == "both" else [args.system])
     results = {name: lift_relation_ord(s, name) for name in systems}
     if args.json:
-        payload = {name: jsonio.ordered_rel_json(r)
+        memo = {}
+        payload = {name: jsonio.ordered_rel_json(r, memo)
                    for name, r in results.items()}
         if len(results) == 2:
             a, b = results.values()

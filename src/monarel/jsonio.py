@@ -4,16 +4,21 @@ Input carriers are arrays of strings; relations pair them; rational
 weights travel as "p/q" strings.  Transition tables key on "state|label"
 (so carrier atoms must avoid "|"); equivalence classes over a disjoint
 union tag atoms as "L:x" / "R:y".  Outputs render structured values
-(sets, pairs, distributions) recursively.
+(sets, pairs, distributions) recursively; set members are ordered by
+their compact JSON text, json.dumps(member, sort_keys=True).  dumps
+writes a payload exactly as json.dumps(payload, sort_keys=True,
+indent=2) does, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .bisim import LTS, PLTS, TransitionSystem
-from .finset import FinSet, Rel, atom_key, atom_str
+from .finset import FinSet, Rel, atom_str
 from .lawcheck import LawReport
 from .metalang import Model
 from .monads import MODES, MonadInstance, RatDist, dist_monad, \
@@ -139,10 +144,11 @@ def load_plts(obj) -> TransitionSystem:
 
 
 def load_system(obj) -> TransitionSystem:
-    """A PLTS when some step is an object (a distribution), else an LTS."""
+    """A PLTS when the system names a mode or some step is an object (a
+    distribution), else an LTS."""
     step = obj.get("step") if isinstance(obj, dict) else None
-    probabilistic = isinstance(step, dict) and any(
-        isinstance(v, dict) for v in step.values())
+    probabilistic = isinstance(step, dict) and ("mode" in obj or any(
+        isinstance(v, dict) for v in step.values()))
     return load_plts(obj) if probabilistic else load_lts(obj)
 
 
@@ -203,37 +209,60 @@ def load_classes(obj) -> list:
 
 # ------------------------------------------------------------- encoding
 
-def value_json(v):
+def value_json(v, memo=None):
     """Recursive rendering of semantic values.
 
     Strings pass through, pairs become two-element arrays, sets become
-    sorted arrays under {"set": ...}, distributions carry their mode and
-    weights keyed by the rendered value.
+    arrays under {"set": ...} whose members are ordered by their compact
+    JSON text (json.dumps(x, sort_keys=True)), distributions carry their
+    mode and weights keyed by the rendered value.  Pass one memo dict to
+    the calls that render one payload: a value built from strings by
+    pairs and sets is then rendered once and handed back as the same
+    object each time it recurs.
+    """
+    return _render(v, {} if memo is None else memo)[0]
+
+
+def _render(v, memo):
+    """(v as JSON, its compact sort_keys text, whether v is built from
+    strings by tuples and frozensets alone).
+
+    A pair's or a set's text is built from its members' texts, so a
+    nested set is never serialized again to sort the set around it; the
+    rarer dicts and distributions are serialized whole.  Only values of
+    the third kind enter the memo: a value equal to one of them renders
+    the same, whereas ("a", 1) and ("a", True) are equal and do not.
     """
     if isinstance(v, str):
-        return v
-    if isinstance(v, tuple):
-        return [value_json(x) for x in v]
-    if isinstance(v, frozenset):
-        return {"set": sorted((value_json(x) for x in v), key=_json_key)}
+        return v, _quote(v), True
+    if isinstance(v, (tuple, frozenset)):
+        try:
+            return memo[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable tuple
+            pass
+        parts = [_render(x, memo) for x in v]
+        if isinstance(v, frozenset):
+            parts.sort(key=itemgetter(1))
+        obj = [p[0] for p in parts]
+        text = "[" + ", ".join(p[1] for p in parts) + "]"
+        if isinstance(v, frozenset):
+            obj, text = {"set": obj}, '{"set": ' + text + "}"
+        out = obj, text, all(p[2] for p in parts)
+        if out[2]:
+            memo[v] = out
+        return out
     if isinstance(v, dict):
-        return {_flat(k): value_json(x) for k, x in sorted(v.items())}
-    if isinstance(v, RatDist):
-        return {
-            "mode": v.mode,
-            "weights": {
-                _flat(x): str(w) for x, w in v.items()
-            },
-        }
-    if isinstance(v, Fraction):
-        return str(v)
-    if v is None or isinstance(v, (bool, int)):
-        return v
-    return repr(v)
-
-
-def _json_key(x):
-    return json.dumps(x, sort_keys=True)
+        obj = {_flat(k): _render(x, memo)[0] for k, x in sorted(v.items())}
+    elif isinstance(v, RatDist):
+        obj = {"mode": v.mode,
+               "weights": {_flat(x): str(w) for x, w in v.items()}}
+    elif isinstance(v, Fraction):
+        obj = str(v)
+    elif v is None or isinstance(v, (bool, int)):
+        obj = v
+    else:
+        obj = repr(v)
+    return obj, json.dumps(obj, sort_keys=True), False
 
 
 def _flat(v) -> str:
@@ -243,33 +272,49 @@ def _flat(v) -> str:
     return atom_str(v)
 
 
-def finset_json(a: FinSet):
-    return [value_json(x) for x in a]
+def finset_json(a: FinSet, memo=None):
+    return [value_json(x, memo) for x in a]
 
 
-def rel_json(r: Rel):
+def _sorted_pairs(pairs, left: FinSet, right: FinSet):
+    """pairs in atom_key order, read off the carriers, which are already
+    in that order: a pair's key compares its left atom's key first."""
+    li = {x: i for i, x in enumerate(left)}
+    ri = {y: i for i, y in enumerate(right)}
+    return sorted(pairs, key=lambda p: (li[p[0]], ri[p[1]]))
+
+
+def rel_json(r: Rel, memo=None):
+    memo = {} if memo is None else memo
     return {
-        "left": finset_json(r.left),
-        "right": finset_json(r.right),
-        "pairs": [value_json(p) for p in sorted(r.pairs, key=atom_key)],
+        "left": finset_json(r.left, memo),
+        "right": finset_json(r.right, memo),
+        "pairs": [value_json(p, memo)
+                  for p in _sorted_pairs(r.pairs, r.left, r.right)],
     }
 
 
-def poset_json(p: FinPoset):
+def poset_json(p: FinPoset, memo=None):
+    memo = {} if memo is None else memo
     return {
-        "carrier": finset_json(p.carrier),
-        "leq": [value_json(q) for q in sorted(p.pairs, key=atom_key)
+        "carrier": finset_json(p.carrier, memo),
+        "leq": [value_json(q, memo)
+                for q in _sorted_pairs(p.pairs, p.carrier, p.carrier)
                 if q[0] != q[1]],
     }
 
 
-def ordered_rel_json(r: OrderedRel):
+def ordered_rel_json(r: OrderedRel, memo=None):
+    """One memo may serve several relations, as for both systems of
+    poset-lift, whose pairs and antichains largely coincide."""
+    memo = {} if memo is None else memo
+    # the pairs with their order form a poset whose carrier is the pairs
+    pairs = poset_json(r.as_poset(), memo)
     return {
-        "left": poset_json(r.left),
-        "right": poset_json(r.right),
-        "pairs": [value_json(p) for p in sorted(r.pairs, key=atom_key)],
-        "order": [value_json(pq) for pq in sorted(r.order, key=atom_key)
-                  if pq[0] != pq[1]],
+        "left": poset_json(r.left, memo),
+        "right": poset_json(r.right, memo),
+        "pairs": pairs["carrier"],
+        "order": pairs["leq"],
     }
 
 
@@ -282,3 +327,39 @@ def report_json(rep: LawReport):
             k: value_json(v) for k, v in rep.counterexample.items()
         }
     return out
+
+
+def dumps(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2), byte for byte, for a
+    payload whose objects have string keys.
+
+    The stdlib falls back to its pure-Python encoder under indent; this
+    writer renders each list or object once per depth, so a sub-object
+    that value_json handed back for a repeated value is written once.
+    """
+    return _indented(payload, 0, {})
+
+
+def _indented(o, level, memo):
+    if isinstance(o, str):
+        return _quote(o)
+    if not isinstance(o, (list, tuple, dict)):
+        return json.dumps(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    # the payload holds every container for the whole call, so no id is
+    # reused by another object while memo is alive
+    key = (id(o), level)
+    text = memo.get(key)
+    if text is None:
+        sep = "\n" + "  " * (level + 1)
+        if isinstance(o, dict):
+            body = ("," + sep).join(
+                f"{_quote(k)}: {_indented(o[k], level + 1, memo)}"
+                for k in sorted(o))
+            text = "{" + sep + body + "\n" + "  " * level + "}"
+        else:
+            body = ("," + sep).join(_indented(x, level + 1, memo) for x in o)
+            text = "[" + sep + body + "\n" + "  " * level + "]"
+        memo[key] = text
+    return text

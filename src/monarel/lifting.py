@@ -239,10 +239,6 @@ def class_sides(cls) -> tuple:
             {b for tag, b in cls if tag == "R"})
 
 
-def is_saturated(s: Rel) -> bool:
-    return saturate(s)[1] == s
-
-
 def lift_member_dist_saturated(nu1: RatDist, nu2: RatDist, s: Rel) -> bool:
     """Class-mass criterion: on a saturated relation, membership holds
     iff nu1 and nu2 give every equivalence class the same mass."""

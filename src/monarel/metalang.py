@@ -176,22 +176,6 @@ def _atom_str(t: Tm) -> str:
     return f"({term_str(t)})"
 
 
-def term_size(t: Tm) -> int:
-    if isinstance(t, (Var, UnitTm)):
-        return 1
-    if isinstance(t, (Fst, Snd, Val)):
-        return 1 + term_size(t.body)
-    if isinstance(t, Abs):
-        return 1 + term_size(t.body)
-    if isinstance(t, PairTm):
-        return 1 + term_size(t.left) + term_size(t.right)
-    if isinstance(t, App):
-        return 1 + term_size(t.fn) + term_size(t.arg)
-    if isinstance(t, Let):
-        return 1 + term_size(t.rhs) + term_size(t.body)
-    raise TypeError(f"not a term: {t!r}")
-
-
 # --------------------------------------------------------------- parsing
 
 class ParseError(ValueError):

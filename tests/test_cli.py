@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from monarel import Rel, cli
+from test_lawcheck import mutant_powerset
+
+from monarel import Rel, cli, jsonio, powerset_monad
 from monarel.cli import main
 
 STAIR = {"left": ["1", "2"], "right": ["a", "b"],
@@ -314,6 +317,22 @@ def test_max_bisim_takes_the_kind_of_the_first_system(capsys, j):
     assert code == 2 and "unrecognized arguments: --kind" in err
 
 
+def test_max_bisim_gives_one_answer_for_either_file_order(capsys, j):
+    # a mode field makes a PLTS even when no step shows a distribution
+    quiet = {"states": ["s"], "labels": ["l"], "mode": "subprobability",
+             "step": {}}
+    half = {"states": ["t"], "labels": ["l"], "mode": "subprobability",
+            "step": {"t|l": {"t": "1/2"}}}
+    for first, second in ((quiet, half), (half, quiet)):
+        code, out, err = run(capsys, "max-bisim", "--sys1", j("1.json", first),
+                             "--sys2", j("2.json", second))
+        assert (code, out, err) == (0, "largest bisimulation: 0 pairs\n", "")
+    code, out, err = run(capsys, "max-bisim", "--sys1", j("1.json", quiet),
+                         "--sys2", j("2.json", dict(quiet, states=["u"])))
+    assert (code, out, err) == (0, "largest bisimulation: 1 pairs\n"
+                                   "  s  ~  u\n", "")
+
+
 PING_PONG = {"states": ["s", "t"], "labels": ["a", "b"],
              "step": {"s|a": ["t"], "t|b": ["s"]}}
 
@@ -464,6 +483,110 @@ def test_poset_lift_single_system_json(capsys, j):
     assert code == 0
     parsed = json.loads(out)
     assert parsed["epi-regmono"]["pairs"] == [[{"set": ["x"]}, {"set": ["x"]}]]
+
+
+# ---------------------------------------------------------- --json output
+
+def _lossy_unit_powerset():
+    lossy = copy.copy(powerset_monad())
+    lossy._unit = lambda x: frozenset() if x == "a1" else frozenset([x])
+    return lossy
+
+
+# monads a model or --monad may name in the cases below, to make a check fail
+MUTANTS = {"unit-mutant": lambda: mutant_powerset(unit=lambda x: frozenset()),
+           "lossy-unit": _lossy_unit_powerset}
+SYS1 = {"states": ["a", "b"], "labels": ["l"], "step": {"a|l": ["b"]}}
+SYS2 = {"states": ["x", "y"], "labels": ["l"], "step": {"x|l": ["y"]}}
+LEMMA_MODEL = {"monad": "powerset", "base": {"b": ["a0", "a1"]}}
+LOSSY_MODEL = dict(LEMMA_MODEL, monad="lossy-unit")
+ORDERED = {"left": {"carrier": ["w", "x", "y"], "leq": [["w", "x"]]},
+           "right": {"carrier": ["p", "q", "r"],
+                     "leq": [["q", "p"], ["q", "r"]]},
+           "pairs": [["w", "q"], ["x", "p"], ["y", "r"], ["x", "r"]]}
+JSON_CASES = {
+    "check-laws": (lambda j: ["check-laws", "--monad", "nonempty-powerset",
+                              "--max-size", "1"], 0),
+    "check-laws failing": (lambda j: ["check-laws", "--monad", "unit-mutant",
+                                      "--max-size", "2"], 1),
+    "lift": (lambda j: ["lift", "--monad", "powerset",
+                        "--S", j("s.json", full_rel("12", "ab", 3))], 0),
+    "member powerset": (lambda j: [
+        "member", "--monad", "powerset", "--S", j("s.json", STAIR),
+        "--b1", j("b1.json", ["1", "2"]), "--b2", j("b2.json", ["a"])], 0),
+    "member dist": (lambda j: [
+        "member", "--monad", "dist", "--S", j("s.json", STAIR),
+        "--nu1", j("n1.json", {"weights": {"1": "1/3", "2": "2/3"}}),
+        "--nu2", j("n2.json", {"weights": {"a": "1/2", "b": "1/2"}})], 0),
+    "member dist failing": (lambda j: [
+        "member", "--monad", "dist", "--S", j("s.json", STAIR),
+        "--nu1", j("n1.json", {"weights": {"1": "1"}}),
+        "--nu2", j("n2.json", {"weights": {"b": "1"}})], 1),
+    "bisim failing": (lambda j: [
+        "bisim", "--sys1", j("1.json", SYS1), "--sys2", j("2.json", SYS2),
+        "--rel", j("r.json", full_rel("ab", "xy", 2))], 1),
+    "prob-bisim failing": (lambda j: [
+        "prob-bisim", "--sys1", j("1.json", HALF_PLTS),
+        "--sys2", j("2.json", ONE_PLTS),
+        "--rel", j("r.json", {"left": ["s", "t", "u"], "right": ["s'", "t'"],
+                              "pairs": [["s", "s'"], ["t", "t'"]]})], 1),
+    "max-bisim": (lambda j: ["max-bisim", "--sys1", j("1.json", HALF_PLTS),
+                             "--sys2", j("2.json", ONE_PLTS)], 0),
+    "larsen-skou": (lambda j: [
+        "larsen-skou", "--sys1", j("1.json", HALF_PLTS),
+        "--sys2", j("2.json", ONE_PLTS),
+        "--classes", j("c.json", [["L:s", "R:s'"], ["L:t", "L:u", "R:t'"]])],
+        0),
+    "logrel": (lambda j: ["logrel", "--model1", j("m1.json", LEMMA_MODEL),
+                          "--model2", j("m2.json", LEMMA_MODEL),
+                          "--type", "T (b -> b)"], 0),
+    "basic-lemma term": (lambda j: [
+        "basic-lemma", "--model1", j("m1.json", LEMMA_MODEL),
+        "--model2", j("m2.json", LEMMA_MODEL),
+        "--term", j("t.ml", "let val x = m in val x"), "--ctx", "m:T b"], 0),
+    "basic-lemma failing": (lambda j: [
+        "basic-lemma", "--model1", j("m1.json", LOSSY_MODEL),
+        "--model2", j("m2.json", LEMMA_MODEL),
+        "--term", j("t.ml", "let val y = m in val y"), "--ctx", "m:T b"], 1),
+    "basic-lemma generated": (lambda j: [
+        "basic-lemma", "--model1", j("m1.json", LEMMA_MODEL),
+        "--model2", j("m2.json", LEMMA_MODEL), "--count", "5"], 0),
+    "basic-lemma generated failing": (lambda j: [
+        "basic-lemma", "--model1", j("m1.json", LOSSY_MODEL),
+        "--model2", j("m2.json", LEMMA_MODEL), "--count", "50"], 1),
+    "poset-lift": (lambda j: ["poset-lift", "--rel", j("o.json", ORDERED)], 0),
+    "poset-lift single": (lambda j: [
+        "poset-lift", "--rel", j("o.json", ORDERED),
+        "--system", "extremalepi-mono"], 0),
+}
+
+
+def test_json_cases_cover_every_subcommand():
+    assert {argv(lambda name, obj: name)[0]
+            for argv, _ in JSON_CASES.values()} == {
+        "check-laws", "lift", "member", "bisim", "prob-bisim", "max-bisim",
+        "larsen-skou", "logrel", "basic-lemma", "poset-lift"}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_json_output_is_the_stdlib_rendering(capsys, j, monkeypatch, case):
+    argv, want = JSON_CASES[case]
+    by_name, dumps = jsonio.monad_by_name, jsonio.dumps
+    payloads = []
+
+    def monad_by_name(name, mode="probability"):
+        return MUTANTS[name]() if name in MUTANTS else by_name(name, mode)
+
+    def recording(payload):
+        payloads.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(jsonio, "monad_by_name", monad_by_name)
+    monkeypatch.setattr(jsonio, "dumps", recording)
+    code, out, err = run(capsys, *argv(j), "--json")
+    assert (code, err) == (want, "")
+    [payload] = payloads
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("left,right,n,refused", [

@@ -1,16 +1,21 @@
+import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monarel import FinSet, LawReport, RatDist, Rel
-from monarel.jsonio import (MONAD_NAMES, finset_json, load_base_rels,
-                            load_classes, load_finset, load_fraction,
-                            load_lts, load_model, load_ordered_rel,
-                            load_plts, load_poset, load_ratdist, load_rel,
-                            load_system, load_tagged, monad_by_name,
-                            ordered_rel_json, poset_json, rel_json,
-                            report_json, value_json)
+from monarel import (SYSTEMS, FinPoset, FinSet, LawReport, OrderedRel,
+                     RatDist, Rel, atom_key, lift_relation_ord,
+                     powerset_monad)
+from monarel.jsonio import (MONAD_NAMES, _flat, dumps, finset_json,
+                            load_base_rels, load_classes, load_finset,
+                            load_fraction, load_lts, load_model,
+                            load_ordered_rel, load_plts, load_poset,
+                            load_ratdist, load_rel, load_system, load_tagged,
+                            monad_by_name, ordered_rel_json, poset_json,
+                            rel_json, report_json, value_json)
 
 F = Fraction
 
@@ -89,6 +94,13 @@ def test_load_system_reads_the_kind_from_the_steps():
     lts = {"states": ["a"], "labels": ["l"], "step": {"a|l": ["a"]}}
     assert load_system(lts).mode is None
     assert load_system(dict(lts, step={})).mode is None
+    # a mode field makes a PLTS even when no step shows a distribution
+    quiet = {"states": ["a"], "labels": ["l"], "mode": "subprobability",
+             "step": {}}
+    assert load_system(quiet).mode == "subprobability"
+    assert load_system(quiet).step("a", "l").total() == 0
+    with pytest.raises(ValueError, match="a distribution must be an object"):
+        load_system(dict(lts, mode="probability"))
     plts = {"states": ["a"], "labels": ["l"], "mode": "subprobability",
             "step": {"a|l": {"a": "1/2"}}}
     assert load_system(plts).mode == "subprobability"
@@ -182,3 +194,188 @@ def test_value_json_shapes():
     nested = value_json({"k": frozenset()})
     assert nested == {"k": {"set": []}}
     assert value_json(F(1, 2)) == "1/2"
+
+
+# ------------------------------------------------ the reference encoder
+#
+# The encoder as it was before set members were sorted by texts built
+# bottom-up: one json.dumps per member at every level, pairs sorted by
+# atom_key, and the stdlib's indented dump.  The fast paths must match it
+# byte for byte.
+
+def _json_key(x):
+    return json.dumps(x, sort_keys=True)
+
+
+def ref_value_json(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return [ref_value_json(x) for x in v]
+    if isinstance(v, frozenset):
+        return {"set": sorted((ref_value_json(x) for x in v), key=_json_key)}
+    if isinstance(v, dict):
+        return {_flat(k): ref_value_json(x) for k, x in sorted(v.items())}
+    if isinstance(v, RatDist):
+        return {"mode": v.mode,
+                "weights": {_flat(x): str(w) for x, w in v.items()}}
+    if isinstance(v, Fraction):
+        return str(v)
+    if v is None or isinstance(v, (bool, int)):
+        return v
+    return repr(v)
+
+
+def ref_rel_json(r):
+    return {"left": [ref_value_json(x) for x in r.left],
+            "right": [ref_value_json(x) for x in r.right],
+            "pairs": [ref_value_json(p)
+                      for p in sorted(r.pairs, key=atom_key)]}
+
+
+def ref_poset_json(p):
+    return {"carrier": [ref_value_json(x) for x in p.carrier],
+            "leq": [ref_value_json(q) for q in sorted(p.pairs, key=atom_key)
+                    if q[0] != q[1]]}
+
+
+def ref_ordered_rel_json(r):
+    return {"left": ref_poset_json(r.left), "right": ref_poset_json(r.right),
+            "pairs": [ref_value_json(p)
+                      for p in sorted(r.pairs, key=atom_key)],
+            "order": [ref_value_json(pq)
+                      for pq in sorted(r.order, key=atom_key)
+                      if pq[0] != pq[1]]}
+
+
+def ref_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def strict(obj):
+    """Text that tells 1 from True and keeps every order, for comparing
+    renderings that == would equate."""
+    return json.dumps(obj)
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00é€😀 {}[],:'),
+            max_size=4),
+    st.text(max_size=3))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-5, 10**20),
+                    st.floats(allow_nan=True), TEXT)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(PAYLOADS, PAYLOADS)
+def test_dumps_is_the_stdlib_indented_dump(p, q):
+    assert dumps(p) == ref_dumps(p)
+    # q is one object at several places and depths, as value_json hands
+    # back a repeated value
+    shared = {"q": q, "list": [q, p, [q, {"deeper": q}]], "again": [q, q],
+              "p": p}
+    assert dumps(shared) == ref_dumps(shared)
+
+
+def test_dumps_edge_cases():
+    for payload in ([], {}, [[]], {"": {}}, [{}, [], ()], "é\"\\", None,
+                    {"b": 1, "a": [True, False, None], "é": "\u2028"},
+                    {"a": [], "a\u0000": [[], {}]}):
+        assert dumps(payload) == ref_dumps(payload)
+
+
+ATOMS = st.recursive(
+    TEXT,
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=4),
+    max_leaves=16)
+# values equal to one another that render apart, such as 1, True and
+# Fraction(1), and dicts, which cannot be set members
+HASHABLE = st.recursive(
+    st.one_of(TEXT, st.none(), st.booleans(), st.integers(-3, 3),
+              st.fractions(max_denominator=4)),
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=4),
+    max_leaves=12)
+VALUES = st.recursive(
+    HASHABLE,
+    lambda inner: st.tuples(inner, inner) | st.dictionaries(TEXT, inner,
+                                                            max_size=3),
+    max_leaves=16)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(ATOMS, max_size=4), st.lists(VALUES, max_size=4))
+def test_value_json_orders_nested_sets_as_json_key_did(atoms, values):
+    memo = {}
+    for v in atoms + values:
+        want = strict(ref_value_json(v))
+        assert strict(value_json(v)) == want
+        # one memo across values, as rel_json passes it
+        assert strict(value_json(v, memo)) == want
+        assert dumps(value_json(v, memo)) == ref_dumps(ref_value_json(v))
+
+
+def test_a_shared_memo_keeps_equal_values_that_render_apart():
+    memo = {}
+    for v, text in [(("a", 1), '["a", 1]'), (("a", True), '["a", true]'),
+                    (("a", Fraction(1)), '["a", "1"]'),
+                    (frozenset({("a", 1)}), '{"set": [["a", 1]]}'),
+                    (frozenset({("a", True)}), '{"set": [["a", true]]}'),
+                    (("a", "b"), '["a", "b"]'), (("a", "b"), '["a", "b"]')]:
+        assert strict(value_json(v, memo)) == text
+
+
+def test_set_members_sort_by_compact_text():
+    # compactly ["a","b"] sorts before ["a"]; indented it would not
+    v = frozenset({("a",), ("a", "b")})
+    assert value_json(v) == {"set": [["a", "b"], ["a"]]}
+    assert value_json(v) == ref_value_json(v)
+    nested = frozenset({frozenset({"b"}), frozenset({"a", "b"}), frozenset()})
+    # '"' sorts before ']', so the empty set comes last
+    assert value_json(nested) == {"set": [{"set": ["a", "b"]}, {"set": ["b"]},
+                                          {"set": []}]}
+    assert value_json(nested) == ref_value_json(nested)
+
+
+def test_a_repeated_value_is_rendered_once():
+    memo = {}
+    b = frozenset({"a", "b"})
+    first = value_json((b, "x"), memo)
+    assert value_json(b, memo) is first[0]
+    assert value_json((b, "x"), memo) is first
+
+
+def _random_poset(rng, atoms):
+    order = list(atoms)
+    rng.shuffle(order)
+    return FinPoset(atoms, [(a, b) for i, a in enumerate(order)
+                            for b in order[i + 1:] if rng.random() < 0.4])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_relation_encoders_match_the_reference(seed):
+    rng = random.Random(seed)
+    left, right = ["1", "2", "3"][:rng.randint(1, 3)], ["a", "b", "c"]
+    pairs = [(x, y) for x in left for y in right if rng.random() < 0.4]
+    s = Rel(left, right, pairs)
+    lifted = powerset_monad().lift(s)
+    for r in (s, lifted):
+        assert rel_json(r) == ref_rel_json(r)
+        assert dumps(rel_json(r)) == ref_dumps(ref_rel_json(r))
+    p, q = _random_poset(rng, left), _random_poset(rng, right)
+    assert poset_json(p) == ref_poset_json(p)
+    orel = OrderedRel(p, q, pairs)
+    memo = {}
+    for system in SYSTEMS:
+        r = lift_relation_ord(orel, system)
+        assert ordered_rel_json(r) == ref_ordered_rel_json(r)
+        # one memo for both systems, as poset-lift passes it
+        got = ordered_rel_json(r, memo)
+        assert dumps(got) == ref_dumps(ref_ordered_rel_json(r))

@@ -9,7 +9,7 @@ from monarel import (FinSet, LawReport, Model, ParseError, Rel,
                      TypecheckError, basic_lemma_check, denote, dist_monad,
                      eval_term,
                      logical_relation, nonempty_powerset_monad, parse,
-                     parse_ty, powerset_monad, synthesize, term_size,
+                     parse_ty, powerset_monad, synthesize,
                      term_str, typecheck, upper_monad)
 from monarel.metalang import (Abs, App, Arrow, Base, Fst, Let, PairTm, Prod,
                               Snd, TTy, UnitTm, UnitTy, Val, Var,
@@ -18,6 +18,21 @@ from monarel.metalang import (Abs, App, Arrow, Base, Fst, Let, PairTm, Prod,
 B = FinSet(["a0", "a1"])
 MODEL = Model(powerset_monad(), {"b": B})
 DIAG = Rel(B, B, [(x, x) for x in B])
+
+
+def term_size(t) -> int:
+    """The number of constructors in a term."""
+    if isinstance(t, (Var, UnitTm)):
+        return 1
+    if isinstance(t, (Fst, Snd, Val, Abs)):
+        return 1 + term_size(t.body)
+    if isinstance(t, PairTm):
+        return 1 + term_size(t.left) + term_size(t.right)
+    if isinstance(t, App):
+        return 1 + term_size(t.fn) + term_size(t.arg)
+    if isinstance(t, Let):
+        return 1 + term_size(t.rhs) + term_size(t.body)
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ----------------------------------------------------------------- parse
