@@ -209,18 +209,15 @@ def load_classes(obj) -> list:
 
 # ------------------------------------------------------------- encoding
 
-def value_json(v, memo=None):
+def value_json(v):
     """Recursive rendering of semantic values.
 
     Strings pass through, pairs become two-element arrays, sets become
     arrays under {"set": ...} whose members are ordered by their compact
     JSON text (json.dumps(x, sort_keys=True)), distributions carry their
-    mode and weights keyed by the rendered value.  Pass one memo dict to
-    the calls that render one payload: a value built from strings by
-    pairs and sets is then rendered once and handed back as the same
-    object each time it recurs.
+    mode and weights keyed by the rendered value.
     """
-    return _render(v, {} if memo is None else memo)[0]
+    return _render(v, {})[0]
 
 
 def _render(v, memo):
@@ -272,8 +269,15 @@ def _flat(v) -> str:
     return atom_str(v)
 
 
-def finset_json(a: FinSet, memo=None):
-    return [value_json(x, memo) for x in a]
+def finset_json(a: FinSet):
+    return _rendered(a, {})
+
+
+def _rendered(values, memo):
+    """value_json of each value, with one memo across them: a value built
+    from strings by pairs and sets is rendered once and handed back as
+    the same object each time it recurs."""
+    return [_render(v, memo)[0] for v in values]
 
 
 def _sorted_pairs(pairs, left: FinSet, right: FinSet):
@@ -284,23 +288,21 @@ def _sorted_pairs(pairs, left: FinSet, right: FinSet):
     return sorted(pairs, key=lambda p: (li[p[0]], ri[p[1]]))
 
 
-def rel_json(r: Rel, memo=None):
-    memo = {} if memo is None else memo
+def rel_json(r: Rel):
+    memo = {}
     return {
-        "left": finset_json(r.left, memo),
-        "right": finset_json(r.right, memo),
-        "pairs": [value_json(p, memo)
-                  for p in _sorted_pairs(r.pairs, r.left, r.right)],
+        "left": _rendered(r.left, memo),
+        "right": _rendered(r.right, memo),
+        "pairs": _rendered(_sorted_pairs(r.pairs, r.left, r.right), memo),
     }
 
 
 def poset_json(p: FinPoset, memo=None):
     memo = {} if memo is None else memo
+    leq = _sorted_pairs(p.pairs, p.carrier, p.carrier)
     return {
-        "carrier": finset_json(p.carrier, memo),
-        "leq": [value_json(q, memo)
-                for q in _sorted_pairs(p.pairs, p.carrier, p.carrier)
-                if q[0] != q[1]],
+        "carrier": _rendered(p.carrier, memo),
+        "leq": _rendered((q for q in leq if q[0] != q[1]), memo),
     }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from monarel import (SYSTEMS, FinPoset, FinSet, LawReport, OrderedRel,
                      RatDist, Rel, atom_key, lift_relation_ord,
                      powerset_monad)
-from monarel.jsonio import (MONAD_NAMES, _flat, dumps, finset_json,
+from monarel.jsonio import (MONAD_NAMES, _flat, _render, dumps, finset_json,
                             load_base_rels, load_classes, load_finset,
                             load_fraction, load_lts, load_model,
                             load_ordered_rel, load_plts, load_poset,
@@ -317,9 +317,9 @@ def test_value_json_orders_nested_sets_as_json_key_did(atoms, values):
     for v in atoms + values:
         want = strict(ref_value_json(v))
         assert strict(value_json(v)) == want
-        # one memo across values, as rel_json passes it
-        assert strict(value_json(v, memo)) == want
-        assert dumps(value_json(v, memo)) == ref_dumps(ref_value_json(v))
+        # one memo across values, as the relation encoders pass it
+        assert strict(_render(v, memo)[0]) == want
+        assert dumps(_render(v, memo)[0]) == ref_dumps(ref_value_json(v))
 
 
 def test_a_shared_memo_keeps_equal_values_that_render_apart():
@@ -329,7 +329,7 @@ def test_a_shared_memo_keeps_equal_values_that_render_apart():
                     (frozenset({("a", 1)}), '{"set": [["a", 1]]}'),
                     (frozenset({("a", True)}), '{"set": [["a", true]]}'),
                     (("a", "b"), '["a", "b"]'), (("a", "b"), '["a", "b"]')]:
-        assert strict(value_json(v, memo)) == text
+        assert strict(_render(v, memo)[0]) == text
 
 
 def test_set_members_sort_by_compact_text():
@@ -347,9 +347,12 @@ def test_set_members_sort_by_compact_text():
 def test_a_repeated_value_is_rendered_once():
     memo = {}
     b = frozenset({"a", "b"})
-    first = value_json((b, "x"), memo)
-    assert value_json(b, memo) is first[0]
-    assert value_json((b, "x"), memo) is first
+    first = _render((b, "x"), memo)[0]
+    assert _render(b, memo)[0] is first[0]
+    assert _render((b, "x"), memo)[0] is first
+    # rel_json keeps one memo for the whole relation
+    out = rel_json(Rel([b], ["x"], [(b, "x")]))
+    assert out["pairs"][0][0] is out["left"][0]
 
 
 def _random_poset(rng, atoms):
