@@ -12,7 +12,7 @@ from monarel import (FinSet, LawReport, Model, ParseError, Rel,
                      parse_ty, powerset_monad, synthesize,
                      term_str, typecheck, upper_monad)
 from monarel.metalang import (Abs, App, Arrow, Base, Fst, Let, PairTm, Prod,
-                              Snd, TTy, UnitTm, UnitTy, Val, Var,
+                              Snd, TTy, Tm, UnitTm, UnitTy, Val, Var,
                               carrier_size)
 
 B = FinSet(["a0", "a1"])
@@ -22,17 +22,7 @@ DIAG = Rel(B, B, [(x, x) for x in B])
 
 def term_size(t) -> int:
     """The number of constructors in a term."""
-    if isinstance(t, (Var, UnitTm)):
-        return 1
-    if isinstance(t, (Fst, Snd, Val, Abs)):
-        return 1 + term_size(t.body)
-    if isinstance(t, PairTm):
-        return 1 + term_size(t.left) + term_size(t.right)
-    if isinstance(t, App):
-        return 1 + term_size(t.fn) + term_size(t.arg)
-    if isinstance(t, Let):
-        return 1 + term_size(t.rhs) + term_size(t.body)
-    raise TypeError(f"not a term: {t!r}")
+    return 1 + sum(term_size(v) for v in vars(t).values() if isinstance(v, Tm))
 
 
 # ----------------------------------------------------------------- parse
