@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .finset import FinSet, Rel, atom_key
+from .finset import FinSet, Rel
 from .lifting import CouplingResult, class_sides
 from .monads import RatDist, dist_monad, powerset_monad
 
@@ -104,8 +104,9 @@ def check_bisimulation(s: Rel, f1: TransitionSystem, f2: TransitionSystem,
     if s.left != f1.states or s.right != f2.states:
         raise ValueError("relation carriers do not match the state spaces")
     _label_carriers(rl, f1, f2)
-    for a1, a2 in sorted(s.pairs, key=atom_key):
-        for l1, l2 in sorted(rl.pairs, key=atom_key):
+    label_pairs = list(rl)
+    for a1, a2 in s:
+        for l1, l2 in label_pairs:
             succ = (f1.step(a1, l1), f2.step(a2, l2))
             got = f1.monad.related(*succ, s)
             if not got:
@@ -137,7 +138,7 @@ def largest_bisimulation(f1, f2, rl: Rel = None) -> Rel:
     _label_carriers(rl, f1, f2)
 
     related = f1.monad.related
-    label_pairs = sorted(rl.pairs, key=atom_key)
+    label_pairs = list(rl)
     current = {(a1, a2) for a1 in f1.states for a2 in f2.states}
     while True:
         rel = Rel(f1.states, f2.states, current)

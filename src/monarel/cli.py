@@ -16,7 +16,7 @@ import sys
 
 from . import jsonio
 from .bisim import check_bisimulation, largest_bisimulation, larsen_skou_check
-from .finset import Rel, atom_key, atom_str
+from .finset import Rel, atom_str
 from .lawcheck import SET, check_cartesian, standard_battery
 from .lifting import lift_member_dist_saturated
 from .metalang import (TTy, basic_lemma_check, logical_relation, parse,
@@ -67,7 +67,7 @@ def _emit(payload):
 
 
 def _print_pairs(pairs):
-    for a, b in sorted(pairs, key=atom_key):
+    for a, b in pairs:
         print(f"  {atom_str(a)}  ~  {atom_str(b)}")
 
 
@@ -143,7 +143,7 @@ def cmd_lift(args):
     else:
         print(f"{len(lifted.pairs)} related pairs over "
               f"{len(lifted.left)} x {len(lifted.right)} carriers")
-        _print_pairs(lifted.pairs)
+        _print_pairs(lifted)
     return 0
 
 
@@ -255,7 +255,7 @@ def cmd_max_bisim(args):
         _emit({"largest": jsonio.rel_json(best)})
     else:
         print(f"largest bisimulation: {len(best.pairs)} pairs")
-        _print_pairs(best.pairs)
+        _print_pairs(best)
     return 0
 
 
@@ -296,7 +296,7 @@ def cmd_logrel(args):
     else:
         print(f"relation at {ty}: {len(rel.pairs)} pairs over "
               f"{len(rel.left)} x {len(rel.right)}")
-        _print_pairs(rel.pairs)
+        _print_pairs(rel)
     return 0
 
 
@@ -399,7 +399,7 @@ def cmd_poset_lift(args):
         for name, r in results.items():
             print(f"[{name}] {len(r.pairs)} pairs, "
                   f"{sum(1 for p, q in r.order if p != q)} strict order pairs")
-            _print_pairs(r.pairs)
+            _print_pairs(r.as_poset().carrier)
         if len(results) == 2:
             a, b = results.values()
             print(f"pair sets {'agree' if a.pairs == b.pairs else 'DIFFER'}; "

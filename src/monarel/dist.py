@@ -1,7 +1,5 @@
-"""Finitely supported rational distributions, and the canonical sort key
-for every value the monads here produce (atoms, sets, pairs and nested
-distributions).
-"""
+"""Finitely supported rational distributions.  finset's atom_key and
+atom_str order and display them like every other value."""
 
 from __future__ import annotations
 
@@ -11,17 +9,6 @@ from math import lcm
 from .finset import FinSet, atom_key, atom_str
 
 MODES = ("probability", "subprobability")
-
-
-def value_key(v):
-    """Sort key covering atoms and (possibly nested) distributions."""
-    if isinstance(v, RatDist):
-        return ("d", v.mode, tuple((value_key(x), w) for x, w in v.items()))
-    if isinstance(v, frozenset):
-        return ("t", tuple(sorted(value_key(x) for x in v)))
-    if isinstance(v, tuple):
-        return ("p", value_key(v[0]), value_key(v[1]))
-    return atom_key(v)
 
 
 class RatDist:
@@ -87,7 +74,7 @@ class RatDist:
         return sum(self.weights.values(), Fraction(0))
 
     def support(self):
-        return sorted(self.weights, key=value_key)
+        return sorted(self.weights, key=atom_key)
 
     def items(self):
         return [(x, self.weights[x]) for x in self.support()]

@@ -1,8 +1,10 @@
-"""Finite sets and relations.
+"""Finite sets and relations, and the canonical order of values.
 
 Everything is exact and deterministic.  Elements ("atoms") are strings,
 pairs of atoms, or finite sets of atoms; a canonical sort key gives them
 a total order, so equal objects always have identical representations.
+The same key orders every value the monads build from atoms, nested
+distributions included, and FinSets and relations iterate in its order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ from operator import itemgetter
 
 
 def atom_key(a):
-    """Canonical sort key inducing a total order on atoms."""
+    """Canonical sort key inducing a total order on atoms and values.
+
+    A distribution (dist.RatDist, which imports this module) is known by
+    its weights: it sorts by its mode and its weighted support.
+    """
     if isinstance(a, str):
         return ("s", a)
     if isinstance(a, tuple):
@@ -21,17 +27,23 @@ def atom_key(a):
         return ("p", atom_key(a[0]), atom_key(a[1]))
     if isinstance(a, frozenset):
         return ("t", tuple(sorted(atom_key(x) for x in a)))
+    if hasattr(a, "weights"):
+        return ("d", a.mode,
+                tuple(sorted((atom_key(x), w) for x, w in a.weights.items())))
     raise TypeError(f"not an atom: {a!r}")
 
 
 def atom_str(a) -> str:
-    """Display form: pairs as "(a,b)", finite sets as sorted "{a,b}"."""
+    """Display form: pairs as "(a,b)", finite sets as sorted "{a,b}",
+    distributions as "{a:1/2,b:1/2}"."""
     if isinstance(a, str):
         return a
     if isinstance(a, tuple):
         return f"({atom_str(a[0])},{atom_str(a[1])})"
     if isinstance(a, frozenset):
         return "{" + ",".join(atom_str(x) for x in sorted(a, key=atom_key)) + "}"
+    if hasattr(a, "weights"):
+        return "{" + ",".join(f"{atom_str(x)}:{w}" for x, w in a.items()) + "}"
     raise TypeError(f"not an atom: {a!r}")
 
 
@@ -76,6 +88,14 @@ def product_set(a: FinSet, b: FinSet) -> FinSet:
     return FinSet([(x, y) for x in a for y in b])
 
 
+def sorted_pairs(pairs, left: FinSet, right: FinSet):
+    """pairs in atom_key order, read off the carriers, which are already
+    in that order: a pair's key compares its left atom's key first."""
+    li = {x: i for i, x in enumerate(left)}
+    ri = {y: i for i, y in enumerate(right)}
+    return sorted(pairs, key=lambda p: (li[p[0]], ri[p[1]]))
+
+
 class Rel:
     """A binary relation between two finite carriers."""
 
@@ -106,7 +126,7 @@ class Rel:
         return len(self.pairs)
 
     def __iter__(self):
-        return iter(sorted(self.pairs, key=atom_key))
+        return iter(sorted_pairs(self.pairs, self.left, self.right))
 
     def __eq__(self, other):
         return (

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 from .bisim import LTS, PLTS, TransitionSystem
-from .finset import FinSet, Rel, atom_str
+from .finset import FinSet, Rel, atom_str, sorted_pairs
 from .lawcheck import LawReport
 from .metalang import Model
 from .monads import MODES, MonadInstance, RatDist, dist_monad, \
@@ -75,7 +75,8 @@ def load_rel(obj) -> Rel:
 
 
 def load_fraction(s) -> Fraction:
-    _require(isinstance(s, (str, int)), f"weight {s!r} must be 'p/q' or int")
+    # the type itself: JSON's true and false load as bools, which are ints
+    _require(type(s) in (str, int), f"weight {s!r} must be 'p/q' or int")
     try:
         f = Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -249,10 +250,10 @@ def _render(v, memo):
             memo[v] = out
         return out
     if isinstance(v, dict):
-        obj = {_flat(k): _render(x, memo)[0] for k, x in sorted(v.items())}
+        obj = {atom_str(k): _render(x, memo)[0] for k, x in sorted(v.items())}
     elif isinstance(v, RatDist):
         obj = {"mode": v.mode,
-               "weights": {_flat(x): str(w) for x, w in v.items()}}
+               "weights": {atom_str(x): str(w) for x, w in v.items()}}
     elif isinstance(v, Fraction):
         obj = str(v)
     elif v is None or isinstance(v, (bool, int)):
@@ -260,13 +261,6 @@ def _render(v, memo):
     else:
         obj = repr(v)
     return obj, json.dumps(obj, sort_keys=True), False
-
-
-def _flat(v) -> str:
-    if isinstance(v, RatDist):
-        inner = ",".join(f"{_flat(x)}:{w}" for x, w in v.items())
-        return "{" + inner + "}"
-    return atom_str(v)
 
 
 def finset_json(a: FinSet):
@@ -280,26 +274,18 @@ def _rendered(values, memo):
     return [_render(v, memo)[0] for v in values]
 
 
-def _sorted_pairs(pairs, left: FinSet, right: FinSet):
-    """pairs in atom_key order, read off the carriers, which are already
-    in that order: a pair's key compares its left atom's key first."""
-    li = {x: i for i, x in enumerate(left)}
-    ri = {y: i for i, y in enumerate(right)}
-    return sorted(pairs, key=lambda p: (li[p[0]], ri[p[1]]))
-
-
 def rel_json(r: Rel):
     memo = {}
     return {
         "left": _rendered(r.left, memo),
         "right": _rendered(r.right, memo),
-        "pairs": _rendered(_sorted_pairs(r.pairs, r.left, r.right), memo),
+        "pairs": _rendered(r, memo),
     }
 
 
 def poset_json(p: FinPoset, memo=None):
     memo = {} if memo is None else memo
-    leq = _sorted_pairs(p.pairs, p.carrier, p.carrier)
+    leq = sorted_pairs(p.pairs, p.carrier, p.carrier)
     return {
         "carrier": _rendered(p.carrier, memo),
         "leq": _rendered((q for q in leq if q[0] != q[1]), memo),

@@ -334,9 +334,8 @@ def product_delta(t: MonadInstance, v, left_obj=None, right_obj=None):
 
 
 @_law("monad-morphism", 2, 2)
-def check_monad_morphism(t, sets, category, rng, per, delta=None):
+def check_monad_morphism(t, sets, category, rng, per, delta=product_delta):
     """Unit and mult compatibility of the projection pair delta."""
-    delta = delta if delta is not None else product_delta
     for a1, a2 in product(sets, repeat=2):
         p = category.product(a1, a2)
         ta1, ta2 = _tobj(t, a1), _tobj(t, a2)
@@ -360,9 +359,8 @@ def _theta(p):
 
 
 @_law("strong-morphism", 2, 4)
-def check_strong_morphism(t, sets, category, rng, per, delta=None):
+def check_strong_morphism(t, sets, category, rng, per, delta=product_delta):
     """Strength compatibility square for the projection pair."""
-    delta = delta if delta is not None else product_delta
     for a1, a2, b1, b2 in product(sets, repeat=4):
         pb = category.product(b1, b2)
         ab1, ab2 = category.product(a1, b1), category.product(a2, b2)
@@ -377,9 +375,8 @@ def check_strong_morphism(t, sets, category, rng, per, delta=None):
 
 
 @_law("monoidal-morphism", 2, 4)
-def check_monoidal_morphism(t, sets, category, rng, per, delta=None):
+def check_monoidal_morphism(t, sets, category, rng, per, delta=product_delta):
     """Mediator compatibility square for the projection pair."""
-    delta = delta if delta is not None else product_delta
     for a1, a2, b1, b2 in product(sets, repeat=4):
         pa = category.product(a1, a2)
         pb = category.product(b1, b2)

@@ -26,7 +26,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .dist import RatDist, random_dist
-from .finset import FinSet, Rel, atom_key, product_set, subsets
+from .finset import FinSet, Rel, product_set, subsets
 from .lawcheck import LawReport, product_delta, run_cases
 
 if TYPE_CHECKING:
@@ -160,16 +160,15 @@ def lift_member_dist(nu1: RatDist, nu2: RatDist, s: Rel) -> CouplingResult:
     scale = lcm(*dens)
     target = int(total1 * scale)
     edges = {}
-    support1 = sorted(nu1.weights, key=atom_key)
-    support2 = sorted(nu2.weights, key=atom_key)
+    support1, support2 = nu1.support(), nu2.support()
     for x in support1:
         edges[("src", ("l", x))] = int(nu1.weights[x] * scale)
     for y in support2:
         edges[(("r", y), "snk")] = int(nu2.weights[y] * scale)
-    sup2 = set(support2)
     for x in support1:
-        for y in sorted(s.right_image(x), key=atom_key):
-            if y in sup2:
+        image = s.right_image(x)
+        for y in support2:
+            if y in image:
                 edges[(("l", x), ("r", y))] = target
     value, flow, reachable = _edmonds_karp(edges, "src", "snk")
     if value == target:
@@ -205,25 +204,19 @@ def saturate(s: Rel):
             parent[x], x = root, parent[x]
         return root
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry, key=atom_key)] = min(rx, ry, key=atom_key)
-
     for a in s.left:
         parent[("L", a)] = ("L", a)
     for b in s.right:
         parent[("R", b)] = ("R", b)
-    for a, b in sorted(s.pairs, key=atom_key):
-        union(("L", a), ("R", b))
+    for a, b in s.pairs:
+        parent[find(("L", a))] = find(("R", b))
 
+    # parent holds the left atoms, then the right ones, each in carrier
+    # order, so the classes come in the order of their first atom
     groups = {}
     for node in parent:
         groups.setdefault(find(node), set()).add(node)
-    classes = sorted(
-        (frozenset(g) for g in groups.values()),
-        key=lambda c: atom_key(min(c, key=atom_key)),
-    )
+    classes = [frozenset(g) for g in groups.values()]
     sat = {
         (a, b)
         for a in s.left
@@ -279,7 +272,7 @@ def converse_coupling(nu1: RatDist, nu2: RatDist, s: Rel) -> RatDist:
 
 def _sample_couplings(t: MonadInstance, rng, s: Rel, samples: int):
     """Seeded distributions over the pairs of S (members by construction)."""
-    pairs = sorted(s.pairs, key=atom_key)
+    pairs = list(s)
     if not pairs:
         if t.mode == "subprobability":
             yield RatDist({}, t.mode)
@@ -291,7 +284,7 @@ def _sample_couplings(t: MonadInstance, rng, s: Rel, samples: int):
 def lifted_unit_check(t: MonadInstance, s: Rel) -> LawReport:
     """Related points have related units."""
     def cases():
-        for a, b in sorted(s.pairs, key=atom_key):
+        for a, b in s:
             v = (t.v_unit(a), t.v_unit(b))
             yield "lifted-unit", (a, b), v, v if t.related(*v, s) else "member"
 
@@ -311,7 +304,7 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
 
     def enumerated():
         lifted = t.lift(s)
-        lifted_pairs = sorted(lifted.pairs, key=atom_key)
+        lifted_pairs = list(lifted)
         # a nonempty sub-relation projects to nonempty sets of values of
         # T A, which are values of T (T A); only the empty one may not be
         empty_is_value = frozenset() in t.apply(FinSet([]))
@@ -351,13 +344,13 @@ def lifted_strength_check(t: MonadInstance, s: Rel, s2: Rel, *,
     rng = random.Random(seed)
     sp = s.product(s2)
     if t.enumerable:
-        related = sorted(t.lift(s2).pairs, key=atom_key)
+        related = list(t.lift(s2))
     else:
         related = [product_delta(t, nu, s2.left, s2.right)
                    for nu in _sample_couplings(t, rng, s2, samples)]
 
     def cases():
-        for a, b in sorted(s.pairs, key=atom_key):
+        for a, b in s:
             for w in related:
                 v = (t.v_strength(a, w[0]), t.v_strength(b, w[1]))
                 yield ("lifted-strength", ((a, b), w), v,

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .finset import FinSet, Rel, UNIT, UNIT_ATOM, atom_key, product_set
+from .finset import FinSet, Rel, UNIT, UNIT_ATOM, product_set
 from .lawcheck import LawReport, run_cases
 from .monads import MonadInstance
 
@@ -417,8 +417,9 @@ def typecheck(ctx, t: Tm) -> Ty:
 # ------------------------------------------------------------- semantics
 
 # denote builds every carrier inside a type, and the lifting at a T-type
-# walks T over the pairs of the relation under it; beyond this many
-# elements either step takes more than seconds
+# builds by union closure up to one pair per value of T over the pairs of
+# the relation under it; beyond this many elements either step takes more
+# than seconds
 MAX_CARRIER = 1024
 # basic_lemma_check evaluates the term in both models for every pair of
 # related environments, and that product of the context's relations is
@@ -660,14 +661,12 @@ def basic_lemma_check(model1: Model, model2: Model, base_rels, ctx,
     ty = typecheck(ctx, t)
     rel = logical_relation(model1, model2, base_rels, ty)
     names = sorted(ctx)
-    pairs = [logical_relation(model1, model2, base_rels, ctx[x]).pairs
-             for x in names]
+    rels = [logical_relation(model1, model2, base_rels, ctx[x]) for x in names]
     within_limit(f"the product of the relations at {', '.join(names)}",
-                 math.prod(map(len, pairs)), MAX_ENV_PAIRS)
-    var_rels = [sorted(p, key=atom_key) for p in pairs]
+                 math.prod(map(len, rels)), MAX_ENV_PAIRS)
 
     def cases():
-        for choice in itertools.product(*var_rels):
+        for choice in itertools.product(*rels):
             env1 = {x: p[0] for x, p in zip(names, choice)}
             env2 = {x: p[1] for x, p in zip(names, choice)}
             d = (eval_term(model1, env1, t), eval_term(model2, env2, t))
@@ -699,18 +698,16 @@ def type_pool(ctx, ty: Ty):
     return acc
 
 
-def synthesize(rng, ctx, ty: Ty, size: int, pool=None, _fresh=None):
+def synthesize(rng, ctx, ty: Ty, size: int):
     """A random well-typed term of at most `size` nodes, or None.
 
     Seeded and deterministic for a fixed rng state.  Retries locally;
     callers should retry globally when None comes back.
     """
-    if pool is None:
-        pool = type_pool(ctx, ty)
-    if _fresh is None:
-        _fresh = itertools.count()
+    pool = type_pool(ctx, ty)
+    fresh = itertools.count()
     for _ in range(24):
-        t = _grow(rng, dict(ctx), ty, size, pool, _fresh)
+        t = _grow(rng, dict(ctx), ty, size, pool, fresh)
         if t is not None:
             return t
     return None

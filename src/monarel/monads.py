@@ -10,9 +10,11 @@ Egli-Milner for the powersets, coupling feasibility for distributions.
 
 from __future__ import annotations
 
-# the distribution values stay importable from here, next to their monad
-from .dist import MODES, RatDist, corner_dists, random_dist, value_key  # noqa: F401
+# the distribution values stay importable from here, next to their monad,
+# and so does the canonical value order under its older name
+from .dist import MODES, RatDist, corner_dists, random_dist  # noqa: F401
 from .finset import FinSet, Rel, subsets
+from .finset import atom_key as value_key  # noqa: F401
 from .lifting import (lift_enumerate, lift_member_dist, lift_member_powerset,
                       lift_union_closure)
 
@@ -118,7 +120,7 @@ class MonadInstance:
 
 
 def _random_subset(rng, a, nonempty=False):
-    elems = sorted(a, key=value_key)
+    elems = list(a)
     if nonempty:
         k = rng.randint(1, len(elems))
         return frozenset(rng.sample(elems, k))

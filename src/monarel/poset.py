@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finset import FinSet, atom_key, product_set, subsets
+from .finset import FinSet, product_set, sorted_pairs, subsets
 from .lawcheck import product_delta
 from .monads import MonadInstance
 
@@ -88,7 +88,8 @@ class FinPoset:
         return hash((self.carrier, self.pairs))
 
     def __repr__(self):
-        strict = sorted((p for p in self.pairs if p[0] != p[1]), key=atom_key)
+        strict = [p for p in sorted_pairs(self.pairs, self.carrier, self.carrier)
+                  if p[0] != p[1]]
         return f"FinPoset({list(self.carrier)!r}, {strict!r})"
 
 
@@ -243,7 +244,7 @@ class OrderedRel:
         return hash((self.left, self.right, self.pairs, self.order))
 
     def __repr__(self):
-        return f"OrderedRel({sorted(self.pairs, key=atom_key)!r})"
+        return f"OrderedRel({list(self._poset.carrier)!r})"
 
 
 def factorize_ord(phi, dom: FinPoset, left: FinPoset, right: FinPoset,
@@ -296,10 +297,11 @@ class OrdCategory:
         return ord_product(a, b)
 
     def default_sets(self, max_size=3):
-        out = [chain(["a"]), chain(["a", "b"]), discrete(["a", "b"])]
-        if max_size >= 3:
-            out.append(FinPoset(["a", "b", "c"], [("a", "c"), ("b", "c")]))
-        return out
+        if max_size > 3:
+            raise ValueError("the ordered grid has at most 3 points")
+        out = [chain(["a"]), chain(["a", "b"]), discrete(["a", "b"]),
+               FinPoset(["a", "b", "c"], [("a", "c"), ("b", "c")])]
+        return [p for p in out if len(p) <= max_size]
 
 
 ORD = OrdCategory()

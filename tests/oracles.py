@@ -9,7 +9,8 @@ import copy
 import itertools
 from fractions import Fraction
 
-from monarel import FinPoset, FinSet, OrderedRel, ord_product, upper_monad
+from monarel import (FinPoset, FinSet, OrderedRel, RatDist, Rel, atom_key,
+                     atom_str, ord_product, upper_monad)
 
 
 def realization_exists(b1, b2, s):
@@ -185,3 +186,67 @@ def enumerating_lift(t):
     slow = copy.copy(t)
     slow._lift = None
     return slow
+
+
+# The canonical order as it was when distributions had a key of their
+# own and callers sorted by it: atom_key and atom_str must agree with
+# the first two on every value, and saturate with the third.
+
+def value_key(v):
+    """Sort key covering atoms and (possibly nested) distributions."""
+    if isinstance(v, RatDist):
+        return ("d", v.mode, tuple((value_key(x), w) for x, w in v.items()))
+    if isinstance(v, frozenset):
+        return ("t", tuple(sorted(value_key(x) for x in v)))
+    if isinstance(v, tuple):
+        return ("p", value_key(v[0]), value_key(v[1]))
+    return atom_key(v)
+
+
+def flat_text(v):
+    """The JSON writer's text for a distribution key or support member."""
+    if isinstance(v, RatDist):
+        inner = ",".join(f"{flat_text(x)}:{w}" for x, w in v.items())
+        return "{" + inner + "}"
+    return atom_str(v)
+
+
+def keyed_saturate(s):
+    """saturate with the smaller root kept at each union and the classes
+    sorted by their least atom."""
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry, key=atom_key)] = min(rx, ry, key=atom_key)
+
+    for a in s.left:
+        parent[("L", a)] = ("L", a)
+    for b in s.right:
+        parent[("R", b)] = ("R", b)
+    for a, b in sorted(s.pairs, key=atom_key):
+        union(("L", a), ("R", b))
+
+    groups = {}
+    for node in parent:
+        groups.setdefault(find(node), set()).add(node)
+    classes = sorted(
+        (frozenset(g) for g in groups.values()),
+        key=lambda c: atom_key(min(c, key=atom_key)),
+    )
+    sat = {
+        (a, b)
+        for a in s.left
+        for b in s.right
+        if find(("L", a)) == find(("R", b))
+    }
+    return classes, Rel(s.left, s.right, sat)

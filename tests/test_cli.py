@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from test_lawcheck import mutant_powerset
 
-from monarel import Rel, cli, jsonio, powerset_monad
+from monarel import (ORD, Rel, chain, cli, jsonio, powerset_monad,
+                     standard_battery, upper_monad)
 from monarel.cli import main
 
 STAIR = {"left": ["1", "2"], "right": ["a", "b"],
@@ -105,11 +106,23 @@ def test_check_laws_unknown_monad_exits_2(capsys):
     ("--monad", "dist", "--max-size", "0"),
     ("--monad", "powerset", "--max-size", "5"),
     ("--monad", "dist", "--samples", "-3", "--max-size", "1"),
+    ("--monad", "upper", "--max-size", "0"),
+    ("--monad", "upper", "--max-size", "4"),
 ])
 def test_check_laws_without_cases_exits_2(capsys, argv):
     code, out, err = run(capsys, "check-laws", *argv)
     assert code == 2 and "error:" in err
     assert "pass" not in out
+
+
+def test_check_laws_upper_max_size_1_checks_the_one_point_poset(capsys):
+    code, out, _ = run(capsys, "check-laws", "--monad", "upper",
+                       "--max-size", "1", "--samples", "40", "--json")
+    assert code == 0
+    want = standard_battery(upper_monad(), [chain(["a"])], samples=40,
+                            seed=0, category=ORD)
+    assert [r["cases"] for r in json.loads(out)["reports"]] == \
+        [r.cases for r in want]
 
 
 # ----------------------------------------------------------------- lift
@@ -642,6 +655,13 @@ def test_bad_json_reports_location(capsys, tmp_path):
     ("poset-lift", {"--rel": {"left": {"carrier": ["a"]},
                               "right": {"carrier": ["a"]},
                               "pairs": [["a", "a"]], "order": 5}}),
+    # JSON's true loads as a bool, which is an int but not a weight
+    ("member", {"--S": STAIR,
+                "--nu1": {"weights": {"1": True}},
+                "--nu2": {"weights": {"a": "1"}}}),
+    ("prob-bisim", {flag: {"states": ["s"], "labels": ["l"],
+                           "step": {"s|l": {"s": True}}}
+                    for flag in ("--sys1", "--sys2")}),
 ])
 def test_malformed_input_shapes_exit_2(capsys, j, command, files):
     argv = [command]

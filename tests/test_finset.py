@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
-from monarel import FinSet, Rel, UNIT, UNIT_ATOM, atom_key, atom_str, subsets
+from monarel import (FinSet, Rel, UNIT, UNIT_ATOM, atom_key, atom_str,
+                     powerset_monad, subsets)
 
 
 def test_finset_dedupe_is_an_error():
@@ -77,3 +81,15 @@ def test_rel_product_carriers_and_pairs():
 def test_rel_projections():
     s = Rel(FinSet(["1", "2"]), FinSet(["a"]), [("1", "a")])
     assert s.as_finset() == FinSet([("1", "a")])
+
+
+def test_relations_iterate_in_key_order():
+    left = FinSet(["b", "a", ("a", "b")])
+    right = FinSet([frozenset({"c"}), "c", frozenset()])
+    t = powerset_monad()
+    rng = random.Random(3)
+    for _ in range(60):
+        s = Rel(left, right, [p for p in itertools.product(left, right)
+                              if rng.random() < 0.4])
+        for r in (s, t.lift(s), Rel(right, left, {(y, x) for x, y in s})):
+            assert list(r) == sorted(r.pairs, key=atom_key)

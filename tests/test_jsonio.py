@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from monarel import (SYSTEMS, FinPoset, FinSet, LawReport, OrderedRel,
                      RatDist, Rel, atom_key, lift_relation_ord,
                      powerset_monad)
-from monarel.jsonio import (MONAD_NAMES, _flat, _render, dumps, finset_json,
+from monarel.jsonio import (MONAD_NAMES, _render, dumps, finset_json,
                             load_base_rels, load_classes, load_finset,
                             load_fraction, load_lts, load_model,
                             load_ordered_rel, load_plts, load_poset,
@@ -215,10 +216,12 @@ def ref_value_json(v):
     if isinstance(v, frozenset):
         return {"set": sorted((ref_value_json(x) for x in v), key=_json_key)}
     if isinstance(v, dict):
-        return {_flat(k): ref_value_json(x) for k, x in sorted(v.items())}
+        return {oracles.flat_text(k): ref_value_json(x)
+                for k, x in sorted(v.items())}
     if isinstance(v, RatDist):
         return {"mode": v.mode,
-                "weights": {_flat(x): str(w) for x, w in v.items()}}
+                "weights": {oracles.flat_text(x): str(w)
+                            for x, w in v.items()}}
     if isinstance(v, Fraction):
         return str(v)
     if v is None or isinstance(v, (bool, int)):

@@ -385,6 +385,16 @@ def test_saturate_matches_union_find_oracle():
             {frozenset(c) for c in want}
 
 
+def test_saturate_lists_classes_as_the_keyed_union_find_did():
+    rng = random.Random(22)
+    left = FinSet(["2", "1", "3", ("1", "2")])
+    right = FinSet(["b", "a", frozenset({"a"})])
+    for _ in range(80):
+        s = Rel(left, right, [(a, b) for a in left for b in right
+                              if rng.random() < 0.25])
+        assert saturate(s) == oracles.keyed_saturate(s)
+
+
 def test_saturated_membership_requires_saturation():
     s = Rel(A12, AB, [("1", "a"), ("2", "b")])
     if saturate(s)[1] != s:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from monarel import (FinSet, RatDist, corner_dists, dist_monad, monads,
-                     nonempty_powerset_monad, powerset_monad, random_dist,
-                     value_key)
+from monarel import (FinSet, RatDist, atom_key, atom_str, corner_dists,
+                     dist_monad, monads, nonempty_powerset_monad,
+                     powerset_monad, random_dist, value_key)
 
 F = Fraction
 
@@ -215,6 +215,34 @@ def test_value_key_total_order_on_mixed_values():
     nu = RatDist({"x": F(1)}, "probability")
     mu = RatDist({"y": F(1)}, "probability")
     assert value_key(nu) != value_key(mu)
+
+
+def _nested_value(rng, depth):
+    """An atom, pair, set or distribution, nested up to depth levels."""
+    kind = rng.randrange(4) if depth else 0
+    if kind == 0:
+        return rng.choice("abc")
+    if kind == 1:
+        return (_nested_value(rng, depth - 1), _nested_value(rng, depth - 1))
+    # a probability distribution needs a nonempty support
+    inner = [_nested_value(rng, depth - 1)
+             for _ in range(rng.randint(0 if kind == 2 else 1, 3))]
+    if kind == 2:
+        return frozenset(inner)
+    return random_dist(rng, inner, rng.choice(monads.MODES))
+
+
+def test_one_key_orders_every_value_as_the_old_value_key_did():
+    assert value_key is monads.value_key is atom_key
+    rng = random.Random(12)
+    vals = [_nested_value(rng, 3) for _ in range(400)]
+    assert any(isinstance(v, RatDist)
+               and any(isinstance(x, RatDist) for x in v.weights)
+               for v in vals)
+    for v in vals:
+        assert atom_key(v) == oracles.value_key(v)
+        assert atom_str(v) == oracles.flat_text(v)
+    assert sorted(vals, key=atom_key) == sorted(vals, key=oracles.value_key)
 
 
 def test_monad_instance_names():
