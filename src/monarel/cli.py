@@ -17,12 +17,12 @@ import sys
 from . import jsonio
 from .bisim import check_bisimulation, largest_bisimulation, larsen_skou_check
 from .finset import Rel, atom_str
-from .lawcheck import SET, check_cartesian, standard_battery
+from .lawcheck import check_cartesian, standard_battery
 from .lifting import lift_member_dist_saturated
 from .metalang import (TTy, basic_lemma_check, logical_relation, parse,
                        parse_ty, synthesize, t_size, term_str, type_pool,
                        typecheck, within_limit)
-from .poset import ORD, lift_relation_ord
+from .poset import ORD, SYSTEMS, lift_relation_ord
 
 
 class _Usage(Exception):
@@ -84,14 +84,11 @@ def cmd_check_laws(args):
         raise _Usage("--max-size must be at least 0")
     if args.samples < 1:
         raise _Usage("--samples must be at least 1")
-    cat = ORD if t.category == "ord" else SET
 
     def battery():
-        sets = cat.default_sets(args.max_size)
-        return (standard_battery(t, sets, samples=args.samples,
-                                 seed=args.seed, category=cat),
-                check_cartesian(t, sets, samples=args.samples,
-                                seed=args.seed, category=cat))
+        sets = t.category.default_sets(args.max_size)
+        kw = dict(samples=args.samples, seed=args.seed)
+        return standard_battery(t, sets, **kw), check_cartesian(t, sets, **kw)
 
     reports, cartesian = _checked(battery, where=f"--max-size {args.max_size}")
     ok = all(r.ok for r in reports)
@@ -132,7 +129,7 @@ def cmd_lift(args):
     if not t.enumerable:
         raise _Usage(f"monad {t.name} is not enumerable; "
                      "use 'member' for pointwise queries")
-    if t.category == "ord":
+    if t.category is ORD:
         raise _Usage("use 'poset-lift' for the ordered monad")
     s = _load(args.S, jsonio.load_rel)
     _checked(within_limit, f"T S over {len(s.pairs)} pairs",
@@ -157,7 +154,7 @@ def _load_dist(path, mode):
 
 def cmd_member(args):
     t = _monad(args)
-    if t.category == "ord":
+    if t.category is ORD:
         raise _Usage("use 'poset-lift' for the ordered monad")
     if args.saturated and t.enumerable:
         raise _Usage(f"--saturated applies to dist, not {t.name}")
@@ -383,8 +380,7 @@ def cmd_poset_lift(args):
                     ("the right poset", len(s.right)),
                     ("the relation", len(s.pairs))):
         _checked(within_limit, what, n, MAX_POSET_LIFT, where=args.rel)
-    systems = (["epi-regmono", "extremalepi-mono"]
-               if args.system == "both" else [args.system])
+    systems = SYSTEMS if args.system == "both" else [args.system]
     results = {name: lift_relation_ord(s, name) for name in systems}
     if args.json:
         memo = {}
@@ -532,7 +528,7 @@ def _build_parser():
                         help="lift an ordered relation in one or both systems")
     sp.add_argument("--rel", required=True, help="ordered relation JSON")
     sp.add_argument("--system", default="both",
-                    choices=["both", "epi-regmono", "extremalepi-mono"])
+                    choices=["both", *SYSTEMS])
     common(sp, seeded=False)
 
     return p

@@ -97,8 +97,8 @@ class RatDist:
         return f"RatDist({body or '0'})"
 
 
-def random_dist(rng, carrier, mode="probability", max_den: int = 12) -> RatDist:
-    """A seeded random distribution with denominator at most max_den.
+def random_dist(rng, carrier, mode="probability") -> RatDist:
+    """A seeded random distribution with denominator at most 12.
 
     Draws a denominator d, then splits the numerator mass over a random
     subset of the carrier by sorted cut points, which keeps every weight
@@ -109,7 +109,7 @@ def random_dist(rng, carrier, mode="probability", max_den: int = 12) -> RatDist:
         if mode == "probability":
             raise ValueError("probability distribution over an empty carrier")
         return RatDist.zero(mode, carrier if isinstance(carrier, FinSet) else None)
-    d = rng.randint(1, max_den)
+    d = rng.randint(1, 12)
     if mode == "probability":
         total = d
     else:

@@ -85,14 +85,14 @@ def load_fraction(s) -> Fraction:
     return f
 
 
-def load_ratdist(obj, carrier: FinSet = None, mode="probability") -> RatDist:
+def load_ratdist(obj, mode="probability") -> RatDist:
     """mode applies when the object names none."""
     _require(isinstance(obj, dict), "a distribution must be an object")
     _require("weights" in obj, "distribution needs a 'weights' field")
     _require(isinstance(obj["weights"], dict), "'weights' must be an object")
     mode = obj.get("mode", mode)
     weights = {x: load_fraction(w) for x, w in obj["weights"].items()}
-    return RatDist(weights, mode, carrier)
+    return RatDist(weights, mode)
 
 
 def _step_carriers(obj):

@@ -50,8 +50,6 @@ class LawReport:
 class SetCategory:
     """Finite sets with the cartesian product; the default case grid."""
 
-    name = "set"
-
     def product(self, a, b):
         return product_set(a, b)
 
@@ -145,17 +143,18 @@ def run_cases(name, cases, seed=None) -> LawReport:
 def _law(name, default_size, budget_exponent):
     """Make a case generator into a law checker.
 
-    The checker takes the grid (default: category.default_sets(
-    default_size)), seeds the RNG, and splits the sample budget over
-    len(grid) ** budget_exponent carrier combinations.  The generator
-    gets (t, sets, category, rng, per, **kw) and yields its cases
-    lazily, so a run that stops at a counterexample draws no further
-    samples.  A grid that yields no case is an input error.
+    The checker takes the category (default: t.category) and the grid
+    (default: category.default_sets(default_size)), seeds the RNG, and
+    splits the sample budget over len(grid) ** budget_exponent carrier
+    combinations.  The generator gets (t, sets, category, rng, per,
+    **kw) and yields its cases lazily, so a run that stops at a
+    counterexample draws no further samples.  A grid that yields no case is an input error.
     """
     def decorate(cases):
         def check(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,
-                  category=SET, **kw) -> LawReport:
+                  category=None, **kw) -> LawReport:
             rng = random.Random(seed)
+            category = category or t.category
             sets = (sample_sets if sample_sets is not None
                     else category.default_sets(default_size))
             per = _sample_budget(t, samples, len(sets) ** budget_exponent)
@@ -392,7 +391,7 @@ def check_monoidal_morphism(t, sets, category, rng, per, delta=product_delta):
 
 
 def standard_battery(t: MonadInstance, sample_sets=None, *, samples=500, seed=7,
-                     category=SET):
+                     category=None):
     """Every law suite a shipped monad is expected to pass, in order."""
     kw = dict(samples=samples, seed=seed, category=category)
     single = sample_sets

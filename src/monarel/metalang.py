@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .finset import FinSet, Rel, UNIT, UNIT_ATOM, product_set
-from .lawcheck import LawReport, run_cases
+from .lawcheck import SET, LawReport, run_cases
 from .monads import MonadInstance
 
 
@@ -442,7 +442,7 @@ class Model:
                             compare=False)
 
     def __post_init__(self):
-        if not self.monad.enumerable or self.monad.category != "set":
+        if not self.monad.enumerable or self.monad.category is not SET:
             raise ValueError(
                 f"metalanguage models need an enumerable monad on sets, "
                 f"got {self.monad.name}")
@@ -466,65 +466,50 @@ def within_limit(what: str, n: int, limit: int = MAX_CARRIER) -> int:
     return n
 
 
-def carrier_size(model: Model, ty: Ty) -> int:
-    """The number of elements of denote(model, ty), computed from the type.
-
-    Raises ValueError when that carrier, or one inside it, has more than
-    MAX_CARRIER elements.
-    """
-    if isinstance(ty, Base):
-        n = len(_base_carrier(model, ty))
-    elif isinstance(ty, UnitTy):
-        n = 1
-    elif isinstance(ty, Prod):
-        n = carrier_size(model, ty.left) * carrier_size(model, ty.right)
-    elif isinstance(ty, Arrow):
-        n = carrier_size(model, ty.cod) ** carrier_size(model, ty.dom)
-    elif isinstance(ty, TTy):
-        n = t_size(model.monad, carrier_size(model, ty.arg))
-    else:
-        raise ValueError(f"not a type: {ty!r}")
-    return within_limit(f"the carrier of {ty}", n)
-
-
-def _base_carrier(model: Model, ty: Base) -> FinSet:
-    if ty.name not in model.base:
-        raise ValueError(f"unknown base type {ty.name!r}")
-    return model.base[ty.name]
-
-
 def denote(model: Model, ty: Ty) -> FinSet:
     """The carrier of values at a type; functions appear as graphs.
 
-    Each model builds a carrier once and keeps it.
+    Each model builds a carrier once and keeps it.  Raises ValueError when
+    that carrier, or one inside it, has more than MAX_CARRIER elements;
+    the carriers inside are built first, and this one is refused before
+    it is built.
     """
     carriers = model._carriers
     if ty not in carriers:
-        carrier_size(model, ty)
         carriers[ty] = _build_carrier(model, ty)
     return carriers[ty]
 
 
 def _build_carrier(model: Model, ty: Ty) -> FinSet:
+    what = f"the carrier of {ty}"
     if isinstance(ty, Base):
-        return _base_carrier(model, ty)
+        if ty.name not in model.base:
+            raise ValueError(f"unknown base type {ty.name!r}")
+        carrier = model.base[ty.name]
+        within_limit(what, len(carrier))
+        return carrier
     if isinstance(ty, UnitTy):
         return UNIT
     if isinstance(ty, Prod):
-        return product_set(denote(model, ty.left), denote(model, ty.right))
+        left, right = denote(model, ty.left), denote(model, ty.right)
+        within_limit(what, len(left) * len(right))
+        return product_set(left, right)
     if isinstance(ty, Arrow):
-        dom = list(denote(model, ty.dom))
+        # the codomain first, so a refusal names the same type whichever
+        # side of the arrow is too large
         cod = list(denote(model, ty.cod))
+        dom = list(denote(model, ty.dom))
+        within_limit(what, len(cod) ** len(dom))
         graphs = [
             frozenset(zip(dom, outs))
             for outs in itertools.product(cod, repeat=len(dom))
         ]
         return FinSet(graphs)
-    return model.monad.apply(denote(model, ty.arg))
-
-
-def _env_value(env):
-    return tuple(sorted(env.items()))
+    if isinstance(ty, TTy):
+        arg = denote(model, ty.arg)
+        within_limit(what, t_size(model.monad, len(arg)))
+        return model.monad.apply(arg)
+    raise ValueError(f"not a type: {ty!r}")
 
 
 def eval_term(model: Model, env, t: Tm):
@@ -560,7 +545,7 @@ def eval_term(model: Model, env, t: Tm):
         return m.v_unit(eval_term(model, env, t.body))
     if isinstance(t, Let):
         rhs = eval_term(model, env, t.rhs)
-        threaded = m.v_strength(_env_value(env), rhs)
+        threaded = m.v_strength(tuple(env.items()), rhs)
         mapped = m.v_map(
             lambda p: eval_term(model, {**dict(p[0]), t.var: p[1]}, t.body),
             threaded)
@@ -601,8 +586,8 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
         return _arrow_relation(model1, model2, ty, rd, rc)
     if isinstance(ty, TTy):
         inner = logical_relation(model1, model2, base_rels, ty.arg)
-        carrier_size(model1, ty)
-        carrier_size(model2, ty)
+        denote(model1, ty)
+        denote(model2, ty)
         within_limit(f"T over the {len(inner)} pairs lifted at {ty}",
                      t_size(model1.monad, len(inner)))
         return model1.monad.lift(inner)

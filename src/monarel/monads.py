@@ -15,6 +15,7 @@ from __future__ import annotations
 from .dist import MODES, RatDist, corner_dists, random_dist  # noqa: F401
 from .finset import FinSet, Rel, subsets
 from .finset import atom_key as value_key  # noqa: F401
+from .lawcheck import SET
 from .lifting import (lift_enumerate, lift_member_dist, lift_member_powerset,
                       lift_union_closure)
 
@@ -24,7 +25,9 @@ class MonadInstance:
 
     The value-level operations (v_*) act on concrete values: frozensets
     for the powersets, RatDist for distributions, antichains for the
-    ordered variant.  Enumerable instances additionally expose apply()
+    ordered variant.  category is the category the monad lives on
+    (lawcheck.SET or poset.ORD); the law checkers take their grid and
+    products from it.  Enumerable instances additionally expose apply()
     on carriers.  member, when given, decides the lifted relation; see
     related().  lift, when given, builds the pairs of the lifted relation
     from a relation; see lift().
@@ -45,7 +48,7 @@ class MonadInstance:
         member=None,
         lift=None,
         mode: str | None = None,
-        category: str = "set",
+        category=SET,
     ):
         self.name = name
         self.enumerable = enumerable

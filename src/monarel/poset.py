@@ -180,7 +180,7 @@ def upper_monad() -> MonadInstance:
     return MonadInstance(
         "upper",
         enumerable=True,
-        category="ord",
+        category=ORD,
         unit=lambda x: frozenset({x}),
         map=_upper_map,
         mult=_upper_mult,

@@ -815,6 +815,15 @@ def _rarely(draw):
     return draw(st.integers(0, 9)) == 4
 
 
+def _has_bool(obj):
+    """Whether JSON holds a true or false, which no input schema accepts."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return any(map(_has_bool, obj))
+    return isinstance(obj, bool)
+
+
 def _mostly(draw, value):
     """value, replaced by arbitrary JSON now and then."""
     return draw(JUNK) if _rarely(draw) else value
@@ -844,7 +853,7 @@ def _weights(draw, support, mode):
     weights = {x: f"{c}/{total or 1}" for x, c in zip(support, counts) if c}
     if _rarely(draw):
         weights[draw(st.sampled_from(NAMES))] = draw(
-            st.sampled_from(["-1/2", "1/0", "x", 2, None, 0.5]))
+            st.sampled_from(["-1/2", "1/0", "x", 2, None, 0.5, True, False]))
     return weights
 
 
@@ -1033,7 +1042,8 @@ FUZZ = {
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_generated_inputs_keep_the_exit_code_promise(command, data):
-    # exit 0 or 2 always, or 1 with the counterexample printed
+    # exit 0 or 2 always, or 1 with the counterexample printed; 2 when a
+    # file holds a JSON boolean (a planted weight or junk)
     strategy, cex = FUZZ[command]
     flags, files = data.draw(strategy, label="input")
     argv = [command, *flags]
@@ -1049,5 +1059,7 @@ def test_generated_inputs_keep_the_exit_code_promise(command, data):
             code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if any(map(_has_bool, files.values())):
+        assert code == 2
     if code == 1:
         assert cex is not None and cex in out.getvalue()

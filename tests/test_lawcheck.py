@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monarel import (FinSet, MonadInstance, ORD, check_cartesian,
+from monarel import (FinSet, MonadInstance, ORD, SET, check_cartesian,
                      check_commutative, check_derived_strengths,
                      check_mediator_laws, check_monad_laws,
                      check_monad_morphism, check_monoidal_morphism,
@@ -57,6 +57,26 @@ def test_battery_green_for_dist_both_modes():
 def test_battery_green_for_upper_on_posets():
     for r in standard_battery(upper_monad(), category=ORD, samples=60):
         assert r.ok, r
+
+
+CHECKERS = [check_monad_laws, check_strength_laws, check_mediator_laws,
+            check_commutative, check_cartesian, check_derived_strengths,
+            check_monad_morphism, check_strong_morphism,
+            check_monoidal_morphism]
+
+
+@pytest.mark.parametrize("checker", CHECKERS, ids=lambda c: c.__name__)
+def test_checkers_default_to_the_monads_category(checker):
+    assert powerset_monad().category is SET
+    assert upper_monad().category is ORD
+    # the upper monad's default grid is made of posets, without category=
+    assert (checker(upper_monad(), samples=16)
+            == checker(upper_monad(), samples=16, category=ORD))
+
+
+def test_battery_defaults_to_the_monads_category():
+    assert (standard_battery(upper_monad(), samples=16)
+            == standard_battery(upper_monad(), samples=16, category=ORD))
 
 
 def test_report_str_shape():

@@ -11,9 +11,9 @@ from monarel import (FinSet, LawReport, Model, ParseError, Rel,
                      logical_relation, nonempty_powerset_monad, parse,
                      parse_ty, powerset_monad, synthesize,
                      term_str, typecheck, upper_monad)
-from monarel.metalang import (Abs, App, Arrow, Base, Fst, Let, PairTm, Prod,
-                              Snd, TTy, Tm, UnitTm, UnitTy, Val, Var,
-                              carrier_size)
+from monarel.metalang import (MAX_CARRIER, Abs, App, Arrow, Base, Fst, Let,
+                              PairTm, Prod, Snd, TTy, Tm, UnitTm, UnitTy, Val,
+                              Var, t_size)
 
 B = FinSet(["a0", "a1"])
 MODEL = Model(powerset_monad(), {"b": B})
@@ -161,12 +161,11 @@ def test_model_base_is_a_read_only_copy():
 
 
 @pytest.mark.parametrize("monad", [powerset_monad, nonempty_powerset_monad])
-def test_carrier_size_matches_the_built_carrier(monad):
-    model = Model(monad(), {"b": B, "e": FinSet([])})
-    for src in ("b", "Unit", "e", "T e", "b * T b", "T (T b)", "e -> b",
-                "b -> e", "T b -> T b", "(b -> b) -> b", "b * Unit -> T b"):
-        ty = parse_ty(src)
-        assert carrier_size(model, ty) == len(denote(model, ty)), src
+def test_t_size_counts_the_values_of_t(monad):
+    m = monad()
+    atoms = ["a", "b", "c", "d", "e"]
+    for n in range(6):
+        assert t_size(m, n) == len(m.apply(FinSet(atoms[:n]))), n
 
 
 def test_oversized_carriers_are_refused_before_they_are_built():
@@ -177,6 +176,27 @@ def test_oversized_carriers_are_refused_before_they_are_built():
     full = Rel(B, B, itertools.product(B, B))
     with pytest.raises(ValueError, match=r"16 pairs .* has 65536 "):
         logical_relation(MODEL, MODEL, {"b": full}, parse_ty("T (b * b)"))
+
+
+@pytest.mark.parametrize("src, named", [
+    # both sides too large: an arrow names its codomain, a product its
+    # left factor
+    ("T (T (T b)) -> T (T (T (b * Unit)))", "T (T (T (b * Unit)))"),
+    ("T (T (T b)) * T (T (T (b * Unit)))", "T (T (T b))"),
+    # only the domain too large
+    ("T (T (T b)) -> b", "T (T (T b))"),
+    # each side fits, the whole does not
+    ("T (T b) * T (T b) * T (T b)", "T (T b) * T (T b) * T (T b)"),
+])
+def test_a_refusal_names_the_first_oversized_type(src, named):
+    model = Model(powerset_monad(), {"b": B})
+    with pytest.raises(ValueError) as err:
+        denote(model, parse_ty(src))
+    assert str(err.value).startswith(f"the carrier of {named} has ")
+    # the carriers built on the way stay within the limit
+    assert model._carriers
+    assert all(len(c) <= MAX_CARRIER for c in model._carriers.values())
+    assert parse_ty(named) not in model._carriers
 
 
 def test_eval_identity_application():
