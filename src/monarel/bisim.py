@@ -122,19 +122,15 @@ def check_bisimulation(s: Rel, f1: TransitionSystem, f2: TransitionSystem,
 check_prob_bisimulation = check_bisimulation
 
 
-def largest_bisimulation(f1, f2, rl: Rel = None) -> Rel:
+def largest_bisimulation(f1, f2, rl: Rel) -> Rel:
     """Greatest fixpoint of one-step refinement from the full relation.
 
     Each round removes, simultaneously, every pair whose step check
     fails against the current relation; the result is the largest
     relation passing its own check.  Both systems must step in the same
-    monad, which decides the lifted relation.
+    monad, which decides the lifted relation; rl relates their labels.
     """
     _same_monad(f1, f2)
-    if rl is None:
-        if f1.labels != f2.labels:
-            raise ValueError("label sets differ; pass an explicit relation")
-        rl = Rel.diagonal(f1.labels)
     _label_carriers(rl, f1, f2)
 
     related = f1.monad.related
@@ -185,14 +181,13 @@ def larsen_skou_check(f1: TransitionSystem, f2: TransitionSystem,
     if seen != atoms:
         raise ValueError("classes do not partition the combined state space")
 
-    sides = {"L": (0, f1), "R": (1, f2)}
     split = [class_sides(cls) for cls in classes]
-    for cls in classes:
+    for left, right in split:
         for label in f1.labels:
-            signatures = set()
-            for tag, a in cls:
-                side, f = sides[tag]
-                signatures.add(tuple(f.step(a, label).mass(c[side]) for c in split))
+            signatures = {tuple(f1.step(a, label).mass(c[0]) for c in split)
+                          for a in left}
+            signatures |= {tuple(f2.step(b, label).mass(c[1]) for c in split)
+                           for b in right}
             if len(signatures) > 1:
                 return False
     return True

@@ -19,7 +19,7 @@ from .bisim import check_bisimulation, largest_bisimulation, larsen_skou_check
 from .finset import Rel, atom_str
 from .lawcheck import check_cartesian, standard_battery
 from .lifting import lift_member_dist_saturated
-from .metalang import (TTy, basic_lemma_check, logical_relation, parse,
+from .metalang import (TTy, Var, basic_lemma_check, logical_relation, parse,
                        parse_ty, synthesize, t_size, term_str, type_pool,
                        typecheck, within_limit)
 from .poset import ORD, SYSTEMS, lift_relation_ord
@@ -309,6 +309,9 @@ def _parse_ctx(src):
         name = name.strip()
         if not name:
             raise _Usage(f"--ctx entry {part!r} has an empty variable name")
+        not_var = f"--ctx entry {part!r} does not name a variable"
+        if _checked(parse, name, where=not_var) != Var(name):
+            raise _Usage(not_var)
         if name in ctx:
             raise _Usage(f"--ctx repeats the variable {name!r}")
         ctx[name] = _checked(parse_ty, ty, where=f"--ctx {name!r}")

@@ -105,17 +105,18 @@ def random_dist(rng, carrier, mode="probability") -> RatDist:
     an exact multiple of 1/d.
     """
     elems = list(dict.fromkeys(carrier))
+    carrier = carrier if isinstance(carrier, FinSet) else None
     if not elems:
         if mode == "probability":
             raise ValueError("probability distribution over an empty carrier")
-        return RatDist.zero(mode, carrier if isinstance(carrier, FinSet) else None)
+        return RatDist.zero(mode, carrier)
     d = rng.randint(1, 12)
     if mode == "probability":
         total = d
     else:
         total = rng.randint(0, d)
     if total == 0:
-        return RatDist.zero(mode, carrier if isinstance(carrier, FinSet) else None)
+        return RatDist.zero(mode, carrier)
     k = rng.randint(1, len(elems))
     support = rng.sample(elems, k)
     cuts = sorted(rng.randint(0, total) for _ in range(k - 1))
@@ -125,7 +126,7 @@ def random_dist(rng, carrier, mode="probability") -> RatDist:
         nums.append(c - prev)
         prev = c
     weights = {x: Fraction(n, d) for x, n in zip(support, nums) if n}
-    return RatDist(weights, mode, carrier if isinstance(carrier, FinSet) else None)
+    return RatDist(weights, mode, carrier)
 
 
 def corner_dists(carrier, mode="probability"):

@@ -21,7 +21,7 @@ from .bisim import LTS, PLTS, TransitionSystem
 from .finset import FinSet, Rel, atom_str, sorted_pairs
 from .lawcheck import LawReport
 from .metalang import Model
-from .monads import MODES, MonadInstance, RatDist, dist_monad, \
+from .monads import MonadInstance, RatDist, dist_monad, \
     nonempty_powerset_monad, powerset_monad
 from .poset import FinPoset, OrderedRel, upper_monad
 
@@ -34,8 +34,6 @@ def monad_by_name(name: str, mode: str = "probability") -> MonadInstance:
     if name == "nonempty-powerset":
         return nonempty_powerset_monad()
     if name == "dist":
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         return dist_monad(mode)
     if name == "upper":
         return upper_monad()

@@ -232,31 +232,29 @@ def class_sides(cls) -> tuple:
             {b for tag, b in cls if tag == "R"})
 
 
+def _saturated_sides(s: Rel) -> list:
+    """The class sides of S, which must be saturated."""
+    classes, sat = saturate(s)
+    if sat != s:
+        raise ValueError("relation is not saturated")
+    return [class_sides(cls) for cls in classes]
+
+
 def lift_member_dist_saturated(nu1: RatDist, nu2: RatDist, s: Rel) -> bool:
     """Class-mass criterion: on a saturated relation, membership holds
     iff nu1 and nu2 give every equivalence class the same mass."""
     if nu1.mode != nu2.mode:
         raise ValueError(f"mode mismatch: {nu1.mode} vs {nu2.mode}")
-    classes, sat = saturate(s)
-    if sat != s:
-        raise ValueError("relation is not saturated")
-    for cls in classes:
-        left, right = class_sides(cls)
-        if nu1.mass(left) != nu2.mass(right):
-            return False
-    return True
+    return all(nu1.mass(left) == nu2.mass(right)
+               for left, right in _saturated_sides(s))
 
 
 def converse_coupling(nu1: RatDist, nu2: RatDist, s: Rel) -> RatDist:
     """The product-form coupling on a saturated relation with matching
     class masses: inside a class of mass d, the pair (a1, a2) carries
     nu1(a1) * nu2(a2) / d."""
-    classes, sat = saturate(s)
-    if sat != s:
-        raise ValueError("relation is not saturated")
     weights = {}
-    for cls in classes:
-        left, right = class_sides(cls)
+    for left, right in _saturated_sides(s):
         d1, d2 = nu1.mass(left), nu2.mass(right)
         if d1 != d2:
             raise ValueError("class masses differ; no coupling exists")

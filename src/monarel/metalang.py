@@ -342,20 +342,21 @@ class _Parser:
                          line, col)
 
 
-def parse(src: str) -> Tm:
+def _parse_all(src: str, rule):
+    """rule (a _Parser method) applied to all of src."""
     p = _Parser(src)
-    t = p.term()
+    got = rule(p)
     if p.peek()[0] != "eof":
         p.fail(f"trailing input {p.peek()[1]!r}")
-    return t
+    return got
+
+
+def parse(src: str) -> Tm:
+    return _parse_all(src, _Parser.term)
 
 
 def parse_ty(src: str) -> Ty:
-    p = _Parser(src)
-    t = p.ty()
-    if p.peek()[0] != "eof":
-        p.fail(f"trailing input {p.peek()[1]!r}")
-    return t
+    return _parse_all(src, _Parser.ty)
 
 
 # ----------------------------------------------------------- typechecking

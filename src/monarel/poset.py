@@ -26,33 +26,35 @@ class FinPoset:
 
     leq lists generating pairs; reflexive pairs may be omitted.  The
     reflexive-transitive closure is taken on construction and
-    antisymmetry is checked afterwards.
+    antisymmetry is checked afterwards.  It is kept twice: as the set of
+    pairs, and as one bitmask row per atom (above[index[x]] has bit
+    index[y] set when x <= y).
     """
 
     def __init__(self, carrier, leq=()):
         self.carrier = carrier if isinstance(carrier, FinSet) else FinSet(carrier)
         atoms = list(self.carrier)
-        index = {x: i for i, x in enumerate(atoms)}
+        self.index = index = {x: i for i, x in enumerate(atoms)}
         n = len(atoms)
-        succ = [1 << i for i in range(n)]
+        self.above = above = [1 << i for i in range(n)]
         for x, y in leq:
             if x not in self.carrier or y not in self.carrier:
                 raise ValueError(f"order pair ({x!r},{y!r}) outside the carrier")
-            succ[index[x]] |= 1 << index[y]
+            above[index[x]] |= 1 << index[y]
         for k in range(n):
-            reach_k = succ[k]
+            reach_k = above[k]
             bit = 1 << k
             for i in range(n):
-                if succ[i] & bit:
-                    succ[i] |= reach_k
+                if above[i] & bit:
+                    above[i] |= reach_k
         for i in range(n):
             for j in range(i + 1, n):
-                if succ[i] >> j & 1 and succ[j] >> i & 1:
+                if above[i] >> j & 1 and above[j] >> i & 1:
                     raise ValueError(
                         f"antisymmetry fails on {atoms[i]!r}, {atoms[j]!r}")
         self.pairs = frozenset(
             (atoms[i], atoms[j])
-            for i in range(n) for j in range(n) if succ[i] >> j & 1)
+            for i in range(n) for j in range(n) if above[i] >> j & 1)
 
     def le(self, x, y) -> bool:
         return (x, y) in self.pairs
@@ -128,11 +130,7 @@ def _upper_apply(p: FinPoset) -> FinPoset:
     if not isinstance(p, FinPoset):
         raise ValueError("the upper-set monad lives on posets")
     chains = _antichains(p)
-    atoms = list(p.carrier)
-    index = {x: i for i, x in enumerate(atoms)}
-    above = [0] * len(atoms)
-    for x, y in p.pairs:
-        above[index[x]] |= 1 << index[y]
+    index, above = p.index, p.above
     # E below F iff every generator of F sits above some generator of E
     ups, bits = [], []
     for e in chains:
@@ -196,11 +194,6 @@ def upper_monad() -> MonadInstance:
 SYSTEMS = ("epi-regmono", "extremalepi-mono")
 
 
-def _check_system(system: str):
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; pick one of {SYSTEMS}")
-
-
 class OrderedRel:
     """A relation between two posets, itself carrying a partial order.
 
@@ -259,7 +252,8 @@ def factorize_ord(phi, dom: FinPoset, left: FinPoset, right: FinPoset,
     because it lies inside the product order: phi is monotone, so every
     pushed pair is a pair of the product.
     """
-    _check_system(system)
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; pick one of {SYSTEMS}")
     for x in dom:
         if x not in phi:
             raise ValueError(f"no image for {x!r}")
@@ -283,7 +277,6 @@ def lift_relation_ord(s: OrderedRel, system: str) -> OrderedRel:
     pair of projections, and order the image of that pairing as the
     system says.
     """
-    _check_system(system)
     t = upper_monad()
     tsp = t.apply(s.as_poset())
     phi = {q: product_delta(t, q, s.left, s.right) for q in tsp}

@@ -182,14 +182,14 @@ def test_dirac_systems_iso_graph_is_a_bisimulation():
 
 def test_largest_contains_diagonal_on_identical_systems():
     m = lts(["a", "b"], ["l"], {("a", "l"): frozenset({"b"})})
-    big = largest_bisimulation(m, m)
+    big = largest_bisimulation(m, m, diag(["l"]))
     assert {("a", "a"), ("b", "b")} <= big.pairs
 
 
 def test_largest_on_empty_behavior_is_full():
     m1 = lts(["a", "b"], ["l"], {})
     m2 = lts(["x"], ["l"], {})
-    big = largest_bisimulation(m1, m2)
+    big = largest_bisimulation(m1, m2, diag(["l"]))
     assert big.pairs == {("a", "x"), ("b", "x")}
 
 
@@ -210,23 +210,22 @@ def test_largest_is_itself_a_bisimulation_and_maximal():
 
 
 def test_largest_probabilistic_contains_the_root_pair():
-    big = largest_bisimulation(HALF_SYS, ONE_SYS)
+    big = largest_bisimulation(HALF_SYS, ONE_SYS, diag(["l"]))
     assert ("s", "s'") in big.pairs
     assert check_prob_bisimulation(big, HALF_SYS, ONE_SYS, diag(["l"])).ok
 
 
 def test_largest_auto_dispatch_and_label_defaults():
-    assert ("s", "s'") in largest_bisimulation(HALF_SYS, ONE_SYS).pairs
-    m1 = lts(["a"], ["l"], {})
-    m2 = lts(["x"], ["k"], {})
-    with pytest.raises(ValueError):
-        largest_bisimulation(m1, m2)  # no default label pairing
+    # the CLI owns the label default: see
+    # test_differing_label_sets_need_a_label_relation in test_cli.py
+    big = largest_bisimulation(HALF_SYS, ONE_SYS, diag(["l"]))
+    assert ("s", "s'") in big.pairs
 
 
 def test_largest_rejects_mixed_kinds():
     m = lts(["a"], ["l"], {})
     with pytest.raises(ValueError):
-        largest_bisimulation(m, HALF_SYS)
+        largest_bisimulation(m, HALF_SYS, diag(["l"]))
 
 
 def test_largest_rejects_a_label_relation_off_the_label_sets():

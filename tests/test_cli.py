@@ -360,6 +360,22 @@ def test_label_relation_off_the_label_sets_exits_2(capsys, j, command):
     assert err == "error: label relation does not match the label sets\n"
 
 
+@pytest.mark.parametrize("command,system", [
+    ("bisim", PING_PONG),
+    ("prob-bisim", dict(HALF_PLTS, mode="subprobability")),
+    ("max-bisim", PING_PONG),
+    ("max-bisim", dict(HALF_PLTS, mode="subprobability")),
+])
+def test_differing_label_sets_need_a_label_relation(capsys, j, command,
+                                                     system):
+    # the CLI pairs equal label sets by their diagonal, and no others
+    other = dict(system, labels=system["labels"] + ["z"])
+    code, out, err = run(capsys, command, "--sys1", j("1.json", system),
+                         "--sys2", j("2.json", other))
+    assert (code, out, err) == (2, "", "error: label sets differ; "
+                                       "pass --labels\n")
+
+
 def test_larsen_skou_command(capsys, j):
     classes = [["L:s", "R:s'"], ["L:t", "L:u", "R:t'"]]
     code, out, _ = run(capsys, "larsen-skou",
@@ -439,6 +455,14 @@ def test_basic_lemma_rejects_vacuous_flags(capsys, j, argv, needle):
     (" :T b, x:b", None, "--ctx entry ':T b' has an empty variable name"),
     ("x:b, x:T b", "val x", "--ctx repeats the variable 'x'"),
     ("x:b, m:T b, x:b", None, "--ctx repeats the variable 'x'"),
+    # names that the metalanguage does not parse as one variable
+    ("let:b", "val ()", "--ctx entry 'let:b' does not name a variable: "
+                        "1:4: expected 'val', found 'end of input'"),
+    ("x y:b", None, "--ctx entry 'x y:b' does not name a variable"),
+    ("1x:b", "val ()", "--ctx entry '1x:b' does not name a variable: "
+                       "1:1: unexpected character '1'"),
+    ("x:b, a->b:b", None, "--ctx entry 'a->b:b' does not name a variable: "
+                          "1:2: trailing input '->'"),
 ])
 def test_basic_lemma_rejects_empty_and_repeated_ctx_names(capsys, j, ctx,
                                                           term, message):
@@ -1037,6 +1061,20 @@ FUZZ = {
 }
 
 
+def _run_in(tmp, command, flags, files):
+    """main on the given files, written as JSON into tmp, within the 5 s
+    deadline: (exit code, stdout, stderr)."""
+    argv = [command, *flags]
+    for flag, obj in files.items():
+        path = os.path.join(tmp, flag.strip("-") + ".json")
+        with open(path, "w") as fh:
+            # term files hold source text, every other file JSON
+            fh.write(obj if flag == "--term" else json.dumps(obj))
+        argv += [flag, path]
+    with deadline(5):
+        return _captured(argv)
+
+
 @pytest.mark.parametrize("command", sorted(FUZZ))
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
@@ -1046,20 +1084,86 @@ def test_generated_inputs_keep_the_exit_code_promise(command, data):
     # file holds a JSON boolean (a planted weight or junk)
     strategy, cex = FUZZ[command]
     flags, files = data.draw(strategy, label="input")
-    argv = [command, *flags]
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        for flag, obj in files.items():
-            path = os.path.join(tmp, flag.strip("-") + ".json")
-            with open(path, "w") as fh:
-                # term files hold source text, every other file JSON
-                fh.write(obj if flag == "--term" else json.dumps(obj))
-            argv += [flag, path]
-        with deadline(5), redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+        code, out, err = _run_in(tmp, command, flags, files)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if any(map(_has_bool, files.values())):
         assert code == 2
     if code == 1:
-        assert cex is not None and cex in out.getvalue()
+        assert cex is not None and cex in out
+
+
+# ---------------------------------------------------------- metamorphic
+
+@st.composite
+def _system_pair(draw):
+    """Two well-formed systems with 1-4 states over the same 1-2 labels,
+    both LTSs (mode None) or both PLTSs in one mode."""
+    mode = draw(st.sampled_from([None, *MODES]))
+    labels = ["l", "m"][:draw(st.integers(1, 2))]
+
+    def system(names):
+        states = names[:draw(st.integers(1, 4))]
+        step = {}
+        for key in (f"{s}|{label}" for s in states for label in labels):
+            if mode is None:
+                step[key] = [t for t in states if draw(st.booleans())]
+                continue
+            counts = [draw(st.integers(0, 2)) for _ in states]
+            if mode == "probability" and not any(counts):
+                counts[0] = 1
+            total = sum(counts) + (mode != "probability") * draw(
+                st.integers(0, 2))
+            step[key] = {t: f"{c}/{total}"
+                         for t, c in zip(states, counts) if c}
+        obj = {"states": states, "labels": labels, "step": step}
+        return obj if mode is None else dict(obj, mode=mode)
+
+    return mode, system(["p", "q", "r", "s"]), system(["w", "x", "y", "z"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_system_pair())
+def test_max_bisim_answers_the_same_both_ways_and_is_a_bisimulation(pair):
+    # (a) swapping --sys1 and --sys2 gives the converse pairs; (b) the
+    # largest bisimulation passes bisim or prob-bisim as --rel
+    mode, sys1, sys2 = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        ran = [_run_in(tmp, "max-bisim", ["--json"],
+                       {"--sys1": a, "--sys2": b})
+               for a, b in ((sys1, sys2), (sys2, sys1))]
+        assert [(code, err) for code, _, err in ran] == [(0, "")] * 2
+        there, back = (json.loads(out)["largest"] for _, out, _ in ran)
+        assert sorted(map(tuple, back["pairs"])) == \
+            sorted((b, a) for a, b in there["pairs"])
+        check = "bisim" if mode is None else "prob-bisim"
+        got = _run_in(tmp, check, [], {"--sys1": sys1, "--sys2": sys2,
+                                       "--rel": there})
+    assert got == (0, "bisimulation\n", "")
+
+
+@st.composite
+def _small_ordered_rel(draw):
+    """An ordered relation between posets of at most 4 points, with at
+    most 4 pairs."""
+    left, right = (_poset_json(draw, names[:draw(st.integers(1, 4))])
+                   for names in ("1234", "abcd"))
+    cells = [[a, b] for a in left["carrier"] for b in right["carrier"]]
+    pairs = draw(st.lists(st.sampled_from(cells), max_size=4, unique_by=tuple))
+    return {"left": left, "right": right, "pairs": pairs}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_small_ordered_rel())
+def test_poset_lift_systems_agree(orel):
+    # (c) criterion 6's result, through the CLI
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _run_in(tmp, "poset-lift",
+                                 ["--system", "both", "--json"],
+                                 {"--rel": orel})
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["same_pairs"] is True and report["same_order"] is True

@@ -1,7 +1,7 @@
 """The CLI's answers, byte for byte, against a recorded transcript.
 
-REQUESTS builds about 150 requests over all ten subcommands, with and
-without --json: passing, failing and refused.  Their input files are
+REQUESTS builds 187 requests over all ten subcommands, with and without
+--json: passing, failing and refused.  Their input files are
 drawn from fixed seeds and written into a temporary directory.  For each
 request, tests/cli_transcript.json records the argv, the exit code, and
 the SHA-256 of stdout and of stderr, with the temporary directory written
