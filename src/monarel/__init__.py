@@ -52,7 +52,6 @@ from .monads import (
     value_key,
 )
 from .bisim import (
-    BisimResult,
     LTS,
     PLTS,
     TransitionSystem,

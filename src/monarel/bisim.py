@@ -11,10 +11,10 @@ directly so the two views can be played against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .finset import FinSet, Rel
+from .lawcheck import LawReport
 from .lifting import CouplingResult, class_sides
 from .monads import RatDist, dist_monad, powerset_monad
 
@@ -75,15 +75,6 @@ def PLTS(states, labels, step, mode="probability") -> TransitionSystem:
                             None if mode == "probability" else RatDist({}, mode))
 
 
-@dataclass(frozen=True)
-class BisimResult:
-    ok: bool
-    counterexample: dict | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def _same_monad(f1, f2):
     if f1.monad.name != f2.monad.name:
         raise ValueError(
@@ -95,26 +86,38 @@ def _label_carriers(rl, f1, f2):
         raise ValueError("label relation does not match the label sets")
 
 
+def _failing_step(f1, f2, label_pairs, s, a1, a2):
+    """The first related label pair on which a1 and a2 step into values
+    that the lifting of s does not relate, as (labels, successors, the
+    decider's answer); None when there is none."""
+    for l1, l2 in label_pairs:
+        succ = (f1.step(a1, l1), f2.step(a2, l2))
+        got = f1.monad.related(*succ, s)
+        if not got:
+            return (l1, l2), succ, got
+    return None
+
+
 def check_bisimulation(s: Rel, f1: TransitionSystem, f2: TransitionSystem,
-                       rl: Rel) -> BisimResult:
+                       rl: Rel) -> LawReport:
     """S is a bisimulation: related states take related-label steps into
     values related by the lifting of S through the systems' monad
-    (Egli-Milner-related successor sets, couplable distributions)."""
+    (Egli-Milner-related successor sets, couplable distributions).  The
+    report counts the pairs of S whose steps were checked."""
     _same_monad(f1, f2)
     if s.left != f1.states or s.right != f2.states:
         raise ValueError("relation carriers do not match the state spaces")
     _label_carriers(rl, f1, f2)
     label_pairs = list(rl)
-    for a1, a2 in s:
-        for l1, l2 in label_pairs:
-            succ = (f1.step(a1, l1), f2.step(a2, l2))
-            got = f1.monad.related(*succ, s)
-            if not got:
-                cex = {"pair": (a1, a2), "labels": (l1, l2), "succ": succ}
-                if isinstance(got, CouplingResult):
-                    cex["violated"] = got.violated
-                return BisimResult(False, cex)
-    return BisimResult(True)
+    for n, (a1, a2) in enumerate(s, 1):
+        failed = _failing_step(f1, f2, label_pairs, s, a1, a2)
+        if failed is not None:
+            labels, succ, got = failed
+            cex = {"pair": (a1, a2), "labels": labels, "succ": succ}
+            if isinstance(got, CouplingResult):
+                cex["violated"] = got.violated
+            return LawReport("bisimulation", False, n, cex)
+    return LawReport("bisimulation", True, len(s))
 
 
 # a probabilistic bisimulation is the same check on systems that step in
@@ -133,15 +136,13 @@ def largest_bisimulation(f1, f2, rl: Rel) -> Rel:
     _same_monad(f1, f2)
     _label_carriers(rl, f1, f2)
 
-    related = f1.monad.related
     label_pairs = list(rl)
     current = {(a1, a2) for a1 in f1.states for a2 in f2.states}
     while True:
         rel = Rel(f1.states, f2.states, current)
         survivors = {
             (a1, a2) for a1, a2 in current
-            if all(related(f1.step(a1, l1), f2.step(a2, l2), rel)
-                   for l1, l2 in label_pairs)
+            if _failing_step(f1, f2, label_pairs, rel, a1, a2) is None
         }
         if survivors == current:
             return rel

@@ -21,7 +21,7 @@ from .bisim import LTS, PLTS, TransitionSystem
 from .finset import FinSet, Rel, atom_str, sorted_pairs
 from .lawcheck import LawReport
 from .metalang import Model
-from .monads import MonadInstance, RatDist, dist_monad, \
+from .monads import MODES, MonadInstance, RatDist, dist_monad, \
     nonempty_powerset_monad, powerset_monad
 from .poset import FinPoset, OrderedRel, upper_monad
 
@@ -29,21 +29,30 @@ MONAD_NAMES = ("powerset", "nonempty-powerset", "dist", "upper")
 
 
 def monad_by_name(name: str, mode: str = "probability") -> MonadInstance:
+    """The named monad; a mode outside MODES is refused for every monad."""
+    _require(name in MONAD_NAMES,
+             f"unknown monad {name!r}; pick one of {', '.join(MONAD_NAMES)}")
+    _require(mode in MODES, f"unknown mode {mode!r}")
     if name == "powerset":
         return powerset_monad()
     if name == "nonempty-powerset":
         return nonempty_powerset_monad()
     if name == "dist":
         return dist_monad(mode)
-    if name == "upper":
-        return upper_monad()
-    raise ValueError(
-        f"unknown monad {name!r}; pick one of {', '.join(MONAD_NAMES)}")
+    return upper_monad()
 
 
 def _require(cond, msg):
     if not cond:
         raise ValueError(msg)
+
+
+def _fields(obj, what, keys):
+    """Refuse obj unless it is an object holding each of keys."""
+    article = "an" if what[0] in "aeiou" else "a"
+    _require(isinstance(obj, dict), f"{article} {what} must be an object")
+    for key in keys:
+        _require(key in obj, f"{what} needs a {key!r} field")
 
 
 def load_finset(obj) -> FinSet:
@@ -64,9 +73,7 @@ def _pairs(obj, what):
 
 
 def load_rel(obj) -> Rel:
-    _require(isinstance(obj, dict), "a relation must be an object")
-    for key in ("left", "right", "pairs"):
-        _require(key in obj, f"relation needs a {key!r} field")
+    _fields(obj, "relation", ("left", "right", "pairs"))
     left = load_finset(obj["left"])
     right = load_finset(obj["right"])
     return Rel(left, right, _pairs(obj["pairs"], "relation pair"))
@@ -85,8 +92,7 @@ def load_fraction(s) -> Fraction:
 
 def load_ratdist(obj, mode="probability") -> RatDist:
     """mode applies when the object names none."""
-    _require(isinstance(obj, dict), "a distribution must be an object")
-    _require("weights" in obj, "distribution needs a 'weights' field")
+    _fields(obj, "distribution", ("weights",))
     _require(isinstance(obj["weights"], dict), "'weights' must be an object")
     mode = obj.get("mode", mode)
     weights = {x: load_fraction(w) for x, w in obj["weights"].items()}
@@ -95,9 +101,7 @@ def load_ratdist(obj, mode="probability") -> RatDist:
 
 def _step_carriers(obj):
     """States and labels, after the checks an LTS and a PLTS share."""
-    _require(isinstance(obj, dict), "a transition system must be an object")
-    for key in ("states", "labels", "step"):
-        _require(key in obj, f"transition system needs a {key!r} field")
+    _fields(obj, "transition system", ("states", "labels", "step"))
     states = load_finset(obj["states"])
     labels = load_finset(obj["labels"])
     for atom in list(states) + list(labels):
@@ -152,16 +156,13 @@ def load_system(obj) -> TransitionSystem:
 
 
 def load_poset(obj) -> FinPoset:
-    _require(isinstance(obj, dict), "a poset must be an object")
-    _require("carrier" in obj, "poset needs a 'carrier' field")
+    _fields(obj, "poset", ("carrier",))
     carrier = load_finset(obj["carrier"])
     return FinPoset(carrier, _pairs(obj.get("leq", []), "order pair"))
 
 
 def load_ordered_rel(obj) -> OrderedRel:
-    _require(isinstance(obj, dict), "an ordered relation must be an object")
-    for key in ("left", "right", "pairs"):
-        _require(key in obj, f"ordered relation needs a {key!r} field")
+    _fields(obj, "ordered relation", ("left", "right", "pairs"))
     left = load_poset(obj["left"])
     right = load_poset(obj["right"])
     pairs = _pairs(obj["pairs"], "pair")
@@ -177,9 +178,7 @@ def load_ordered_rel(obj) -> OrderedRel:
 
 
 def load_model(obj) -> Model:
-    _require(isinstance(obj, dict), "a model must be an object")
-    for key in ("monad", "base"):
-        _require(key in obj, f"model needs a {key!r} field")
+    _fields(obj, "model", ("monad", "base"))
     monad = monad_by_name(obj["monad"], obj.get("mode", "probability"))
     _require(isinstance(obj["base"], dict), "'base' must map names to sets")
     base = {name: load_finset(xs) for name, xs in obj["base"].items()}

@@ -38,12 +38,14 @@ class LawReport:
     def __str__(self):
         status = "pass" if self.ok else "FAIL"
         out = f"{self.law}: {status} ({self.cases} cases)"
-        if self.counterexample is not None:
-            c = self.counterexample
+        c = self.counterexample
+        if c is not None and "diagram" in c:
             out += (
                 f"\n  diagram {c['diagram']}: input {c['input']!r}"
                 f"\n  lhs {c['lhs']!r}\n  rhs {c['rhs']!r}"
             )
+        elif c is not None:  # a bisimulation's failing step
+            out += "".join(f"\n  {k} {v!r}" for k, v in c.items())
         return out
 
 

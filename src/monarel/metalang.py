@@ -79,42 +79,37 @@ def _ty_paren(ty: Ty, level: int) -> str:
 
 # ---------------------------------------------------------------- terms
 
+@dataclass(frozen=True)
 class Tm:
-    pass
-
-
-def _pos_field():
-    return field(default=None, compare=False, repr=False)
+    # where the parser found the term; equal terms may sit anywhere
+    pos: tuple | None = field(default=None, kw_only=True, compare=False,
+                              repr=False)
 
 
 @dataclass(frozen=True)
 class Var(Tm):
     name: str
-    pos: tuple | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class UnitTm(Tm):
-    pos: tuple | None = _pos_field()
+    pass
 
 
 @dataclass(frozen=True)
 class PairTm(Tm):
     left: Tm
     right: Tm
-    pos: tuple | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Fst(Tm):
     body: Tm
-    pos: tuple | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Snd(Tm):
     body: Tm
-    pos: tuple | None = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -122,20 +117,17 @@ class Abs(Tm):
     var: str
     ty: Ty
     body: Tm
-    pos: tuple | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class App(Tm):
     fn: Tm
     arg: Tm
-    pos: tuple | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Val(Tm):
     body: Tm
-    pos: tuple | None = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,6 @@ class Let(Tm):
     var: str
     rhs: Tm
     body: Tm
-    pos: tuple | None = _pos_field()
 
 
 def term_str(t: Tm) -> str:
@@ -280,10 +271,9 @@ class _Parser:
             self.expect(")")
             return inner
         if kind == "ident":
+            # never "T": ty_app takes that as the monad
             if word == "Unit":
                 return UnitTy()
-            if word == "T":
-                raise ParseError("T needs an argument type", line, col)
             return Base(word)
         raise ParseError(f"expected a type, found {word or 'end of input'!r}",
                          line, col)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from monarel import (FinSet, LTS, PLTS, RatDist, Rel, TransitionSystem,
+from monarel import (FinSet, LTS, LawReport, PLTS, RatDist, Rel,
+                     TransitionSystem,
                      check_bisimulation, check_prob_bisimulation,
                      largest_bisimulation, larsen_skou_check,
                      lift_member_dist, random_dist, saturate, tagged_states)
@@ -130,6 +131,27 @@ def test_label_relation_relates_label_sets():
         check_bisimulation(s, m1, m2, diag(["l"]))
     rl = Rel(FinSet(["l"]), FinSet(["k"]), [("l", "k")])
     assert check_bisimulation(s, m1, m2, rl).ok
+
+
+def test_bisimulation_verdicts_are_law_reports_counting_checked_pairs():
+    # b steps to {a} and x to nothing, so the second pair of S fails
+    m1 = lts(["a", "b"], ["l"], {("b", "l"): frozenset({"a"})})
+    m2 = lts(["x"], ["l"], {})
+    rl = diag(["l"])
+    s = Rel(m1.states, m2.states, [("a", "x"), ("b", "x")])
+    got = check_bisimulation(s, m1, m2, rl)
+    assert got == LawReport("bisimulation", False, 2, {
+        "pair": ("b", "x"), "labels": ("l", "l"),
+        "succ": (frozenset({"a"}), frozenset())})
+    assert str(got) == ("bisimulation: FAIL (2 cases)\n  pair ('b', 'x')"
+                        "\n  labels ('l', 'l')"
+                        "\n  succ (frozenset({'a'}), frozenset())")
+    just_a = Rel(m1.states, m2.states, [("a", "x")])
+    assert check_bisimulation(just_a, m1, m2, rl) == \
+        LawReport("bisimulation", True, 1)
+    empty = Rel(m1.states, m2.states, [])
+    assert check_bisimulation(empty, m1, m2, rl) == \
+        LawReport("bisimulation", True, 0)
 
 
 # ------------------------------------------------------------------ PLTS

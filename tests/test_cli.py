@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from test_lawcheck import mutant_powerset
 
-from monarel import (ORD, Rel, chain, cli, jsonio, powerset_monad,
+from monarel import (ORD, Rel, chain, cli, jsonio, powerset_monad, saturate,
                      standard_battery, upper_monad)
 from monarel.cli import main
 
@@ -98,6 +98,21 @@ def test_check_laws_unknown_monad_exits_2(capsys):
     code, _, err = run(capsys, "check-laws", "--monad", "identity")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("monad", ["powerset", "nonempty-powerset", "dist",
+                                   "upper"])
+def test_unknown_mode_exits_2_for_every_monad(capsys, j, monad):
+    # only dist reads the mode, but every monad refuses a bad one
+    code, out, err = run(capsys, "check-laws", "--monad", monad,
+                         "--mode", "bogus", "--max-size", "1")
+    assert (code, out, err) == (2, "", "error: unknown mode 'bogus'\n")
+    model = j("m.json", {"monad": monad, "mode": "bogus",
+                         "base": {"b": ["a0"]}})
+    code, out, err = run(capsys, "logrel", "--model1", model,
+                         "--model2", model, "--type", "b")
+    assert (code, out, err) == (2, "",
+                                f"error: {model}: unknown mode 'bogus'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -392,6 +407,23 @@ def test_larsen_skou_command(capsys, j):
     assert code == 1
 
 
+@pytest.mark.parametrize("second,message", [
+    (dict(ONE_PLTS, labels=["k", "l"], step=dict(
+        ONE_PLTS["step"], **{"s'|k": {"t'": "1"}, "t'|k": {"t'": "1"}})),
+     "label sets differ"),
+    (dict(ONE_PLTS, mode="subprobability"),
+     "mode mismatch: probability vs subprobability"),
+])
+def test_larsen_skou_refuses_systems_that_do_not_match(capsys, j, second,
+                                                       message):
+    code, out, err = run(capsys, "larsen-skou",
+                         "--sys1", j("1.json", HALF_PLTS),
+                         "--sys2", j("2.json", second),
+                         "--classes", j("c.json", [["L:s", "R:s'"],
+                                                   ["L:t", "L:u", "R:t'"]]))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------------- metalang
 
 MODEL = {"monad": "powerset", "base": {"b": ["a0", "a1"]}}
@@ -605,25 +637,114 @@ def test_json_cases_cover_every_subcommand():
         "larsen-skou", "logrel", "basic-lemma", "poset-lift"}
 
 
-@pytest.mark.parametrize("case", sorted(JSON_CASES))
-def test_json_output_is_the_stdlib_rendering(capsys, j, monkeypatch, case):
-    argv, want = JSON_CASES[case]
-    by_name, dumps = jsonio.monad_by_name, jsonio.dumps
-    payloads = []
+def _name_mutants(monkeypatch):
+    """Let --monad and model files name the monads in MUTANTS too."""
+    by_name = jsonio.monad_by_name
 
     def monad_by_name(name, mode="probability"):
         return MUTANTS[name]() if name in MUTANTS else by_name(name, mode)
+
+    monkeypatch.setattr(jsonio, "monad_by_name", monad_by_name)
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_json_output_is_the_stdlib_rendering(capsys, j, monkeypatch, case):
+    argv, want = JSON_CASES[case]
+    dumps = jsonio.dumps
+    payloads = []
 
     def recording(payload):
         payloads.append(payload)
         return dumps(payload)
 
-    monkeypatch.setattr(jsonio, "monad_by_name", monad_by_name)
+    _name_mutants(monkeypatch)
     monkeypatch.setattr(jsonio, "dumps", recording)
     code, out, err = run(capsys, *argv(j), "--json")
     assert (code, err) == (want, "")
     [payload] = payloads
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _cex(diagram, inp, lhs, rhs):
+    return {"diagram": diagram, "input": inp, "lhs": lhs, "rhs": rhs}
+
+
+def _law(law, cases, cex=None, **seed):
+    out = {"law": law, "ok": cex is None, "cases": cases, **seed}
+    return out if cex is None else dict(out, counterexample=cex)
+
+
+NONE, A = {"set": []}, {"set": ["a"]}
+MULT_UNIT = _cex("mult-unit", A, NONE, A)
+MEDIATOR_LUNIT = _cex("mediator-lunit", A, NONE, A)
+STRENGTH_DUAL = _cex("strength-then-dual", [A, A], NONE, {"set": [["a", "a"]]})
+A01 = {"set": ["a0", "a1"]}
+LEMMA_CEX = _cex("basic-lemma", [{"m": A01}, {"m": A01}],
+                 [{"set": ["a0"]}, A01], "member")
+GENERATED_CEX = _cex("basic-lemma", [{"m": NONE, "x": "a1"}] * 2,
+                     [NONE, {"set": ["a1"]}], "member")
+# the text and the --json report of each failing check in JSON_CASES
+FAILING_OUTPUT = {
+    "check-laws failing": ("""\
+monad-laws: FAIL (9 cases)
+  diagram mult-unit: input frozenset({'a'})
+  lhs frozenset()
+  rhs frozenset({'a'})
+strength-laws: pass (145 cases)
+mediator-laws: FAIL (5 cases)
+  diagram mediator-lunit: input frozenset({'a'})
+  lhs frozenset()
+  rhs frozenset({'a'})
+commutativity: pass (49 cases)
+derived-strengths: FAIL (25 cases)
+  diagram strength-then-dual: input (frozenset({'a'}), frozenset({'a'}))
+  lhs frozenset()
+  rhs frozenset({('a', 'a')})
+monad-morphism: pass (105 cases)
+strong-morphism: pass (279 cases)
+monoidal-morphism: pass (961 cases)
+cartesian: fails (informational, 9 cases)
+  e.g. cartesian-fst at [{"set": ["a"]}, {"set": []}]
+counterexample [monad-laws]: %s
+counterexample [mediator-laws]: %s
+counterexample [derived-strengths]: %s
+""" % tuple(json.dumps(c, sort_keys=True)
+            for c in (MULT_UNIT, MEDIATOR_LUNIT, STRENGTH_DUAL)), {
+        "monad": "powerset-mutant", "seed": 0, "ok": False,
+        "reports": [
+            _law("monad-laws", 9, MULT_UNIT, seed=0),
+            _law("strength-laws", 145, seed=0),
+            _law("mediator-laws", 5, MEDIATOR_LUNIT, seed=0),
+            _law("commutativity", 49, seed=0),
+            _law("derived-strengths", 25, STRENGTH_DUAL, seed=0),
+            _law("monad-morphism", 105, seed=0),
+            _law("strong-morphism", 279, seed=0),
+            _law("monoidal-morphism", 961, seed=0)],
+        "cartesian": _law("cartesianness", 9,
+                          _cex("cartesian-fst", [A, NONE], NONE, A), seed=0)}),
+    "basic-lemma failing": (
+        "let val y = m in val y: NOT related (3 environment pairs)\n"
+        f"  counterexample: {json.dumps(LEMMA_CEX, sort_keys=True)}\n",
+        {"term": "let val y = m in val y",
+         "report": _law("basic-lemma", 3, LEMMA_CEX)}),
+    "basic-lemma generated failing": (
+        "term val x NOT related: "
+        f"{json.dumps(GENERATED_CEX, sort_keys=True)}\n",
+        {"seed": 0, "count": 1, "ok": False,
+         "failure": {"term": "val x",
+                     "report": _law("basic-lemma", 2, GENERATED_CEX)}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_OUTPUT))
+def test_failing_checks_print_their_counterexample(capsys, j, monkeypatch,
+                                                   case):
+    argv, _ = JSON_CASES[case]
+    text, report = FAILING_OUTPUT[case]
+    _name_mutants(monkeypatch)
+    assert run(capsys, *argv(j)) == (1, text, "")
+    code, out, err = run(capsys, *argv(j), "--json")
+    assert (code, json.loads(out), err) == (1, report, "")
 
 
 @pytest.mark.parametrize("left,right,n,refused", [
@@ -1097,10 +1218,10 @@ def test_generated_inputs_keep_the_exit_code_promise(command, data):
 # ---------------------------------------------------------- metamorphic
 
 @st.composite
-def _system_pair(draw):
+def _system_pair(draw, modes=(None, *MODES)):
     """Two well-formed systems with 1-4 states over the same 1-2 labels,
-    both LTSs (mode None) or both PLTSs in one mode."""
-    mode = draw(st.sampled_from([None, *MODES]))
+    both LTSs (mode None) or both PLTSs in one of the modes."""
+    mode = draw(st.sampled_from(modes))
     labels = ["l", "m"][:draw(st.integers(1, 2))]
 
     def system(names):
@@ -1167,3 +1288,122 @@ def test_poset_lift_systems_agree(orel):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["same_pairs"] is True and report["same_order"] is True
+
+
+@st.composite
+def _small_rel(draw):
+    """A relation between 1-3 and 1-3 atoms."""
+    left, right = ("123"[:draw(st.integers(1, 3))],
+                   "abc"[:draw(st.integers(1, 3))])
+    cells = [[x, y] for x in left for y in right]
+    return {"left": list(left), "right": list(right),
+            "pairs": draw(st.lists(st.sampled_from(cells), unique_by=tuple))}
+
+
+# every atom of _small_rel and _system_pair, and as many other names
+ATOMS = list("123abc") + list("pqrswxyz") + ["l", "m"]
+FRESH = ["n", "c", "9", "zz", "a1", "a", "y'", "k", "B", "b_", "q", "0",
+         "e", "x", "mm", "t"]
+
+
+def _rename_rel(rel, f):
+    return {"left": [f[x] for x in rel["left"]],
+            "right": [f[y] for y in rel["right"]],
+            "pairs": [[f[x], f[y]] for x, y in rel["pairs"]]}
+
+
+def _rename_system(system, f):
+    step = {}
+    for key, succ in system["step"].items():
+        s, label = key.split("|")
+        step[f"{f[s]}|{f[label]}"] = (
+            [f[t] for t in succ] if isinstance(succ, list)
+            else {f[t]: w for t, w in succ.items()})
+    return dict(system, states=[f[x] for x in system["states"]],
+                labels=[f[x] for x in system["labels"]], step=step)
+
+
+def _value_pairs(lifted, f=None):
+    """The pairs of a lifted relation as pairs of frozensets, their
+    members renamed by f when given."""
+    def value(v):
+        return frozenset(v["set"] if f is None else map(f.get, v["set"]))
+    return {(value(a), value(b)) for a, b in lifted["pairs"]}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_small_rel(), _system_pair(),
+       st.sampled_from(["powerset", "nonempty-powerset"]),
+       st.permutations(FRESH))
+def test_renaming_atoms_renames_what_lift_and_max_bisim_print(rel, pair,
+                                                              monad, fresh):
+    # (d) a bijection on the atoms maps the printed pairs onto the pairs
+    # printed for the renamed input
+    f = dict(zip(ATOMS, fresh))
+    _, sys1, sys2 = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        lifted = [_run_in(tmp, "lift", ["--monad", monad, "--json"],
+                          {"--S": r}) for r in (rel, _rename_rel(rel, f))]
+        largest = [_run_in(tmp, "max-bisim", ["--json"],
+                           {"--sys1": a, "--sys2": b})
+                   for a, b in ((sys1, sys2), (_rename_system(sys1, f),
+                                               _rename_system(sys2, f)))]
+    assert [(code, err) for code, _, err in lifted + largest] == [(0, "")] * 4
+    there, back = (json.loads(out)["lifted"] for _, out, _ in lifted)
+    assert _value_pairs(there, f) == _value_pairs(back)
+    there, back = (json.loads(out)["largest"] for _, out, _ in largest)
+    assert {(f[x], f[y]) for x, y in there["pairs"]} == \
+        set(map(tuple, back["pairs"]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_small_rel(), st.sampled_from(["powerset", "nonempty-powerset"]),
+       st.data())
+def test_lift_prints_the_member_pairs_and_no_other(rel, monad, data):
+    # (e) a printed pair is a member and an omitted one is not
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _run_in(tmp, "lift", ["--monad", monad, "--json"],
+                                 {"--S": rel})
+        assert (code, err) == (0, "")
+        lifted = json.loads(out)["lifted"]
+        values = [(a["set"], b["set"]) for a in lifted["left"]
+                  for b in lifted["right"]]
+        printed = [(a["set"], b["set"]) for a, b in lifted["pairs"]]
+        omitted = [p for p in values if p not in printed]
+        for pick, want in ((printed, (0, "member\n", "")),
+                           (omitted, (1, "not a member\n", ""))):
+            if pick:
+                b1, b2 = data.draw(st.sampled_from(pick))
+                assert _run_in(tmp, "member", ["--monad", monad],
+                               {"--S": rel, "--b1": b1, "--b2": b2}) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_system_pair(modes=MODES), st.data())
+def test_prob_bisim_on_a_saturated_relation_agrees_with_larsen_skou(pair,
+                                                                    data):
+    # (f) criterion 5's result, through the CLI, on the saturation of a
+    # few pairs, now and then added to the largest bisimulation
+    _, sys1, sys2 = pair
+    systems = {"--sys1": sys1, "--sys2": sys2}
+    cells = [(a, b) for a in sys1["states"] for b in sys2["states"]]
+    pairs = data.draw(st.lists(st.sampled_from(cells), min_size=1,
+                               max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        if data.draw(st.booleans()):
+            code, out, err = _run_in(tmp, "max-bisim", ["--json"], systems)
+            pairs += map(tuple, json.loads(out)["largest"]["pairs"])
+        classes, sat = saturate(Rel(sys1["states"], sys2["states"], pairs))
+        rel = {"left": sys1["states"], "right": sys2["states"],
+               "pairs": sorted(map(list, sat.pairs))}
+        tagged = [sorted(f"{tag}:{x}" for tag, x in cls) for cls in classes]
+        code, out, err = _run_in(tmp, "prob-bisim", [],
+                                 dict(systems, **{"--rel": rel}))
+        masses = _run_in(tmp, "larsen-skou", [],
+                         dict(systems, **{"--classes": tagged}))
+    assert err == "" and code in (0, 1)
+    assert masses == (code, ("probabilistic bisimulation\n" if code == 0
+                             else "class masses differ\n"), "")

@@ -158,8 +158,33 @@ def test_monad_by_name():
                                 "upper"}
     assert monad_by_name("dist", "subprobability").name == \
         "dist-subprobability"
-    with pytest.raises(ValueError):
-        monad_by_name("identity")
+    with pytest.raises(ValueError, match="^unknown monad 'identity'"):
+        monad_by_name("identity", "bogus")
+    # every monad refuses a mode outside MODES, though only dist reads it
+    for name in MONAD_NAMES:
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            monad_by_name(name, "bogus")
+
+
+@pytest.mark.parametrize("load,obj,msg", [
+    (load_rel, [], "a relation must be an object"),
+    (load_rel, {"left": [], "right": []}, "relation needs a 'pairs' field"),
+    (load_ratdist, "x", "a distribution must be an object"),
+    (load_ratdist, {}, "distribution needs a 'weights' field"),
+    (load_lts, None, "a transition system must be an object"),
+    (load_plts, {"states": [], "step": {}},
+     "transition system needs a 'labels' field"),
+    (load_poset, [], "a poset must be an object"),
+    (load_poset, {"leq": []}, "poset needs a 'carrier' field"),
+    (load_ordered_rel, [], "an ordered relation must be an object"),
+    (load_ordered_rel, {"left": {}, "pairs": []},
+     "ordered relation needs a 'right' field"),
+    (load_model, [], "a model must be an object"),
+    (load_model, {"base": {}}, "model needs a 'monad' field"),
+])
+def test_object_checks_name_the_object_and_its_missing_field(load, obj, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        load(obj)
 
 
 def test_tagged_and_classes():

@@ -275,3 +275,9 @@ def test_case_enumeration_is_pinned(monad, checker, law, ok, cases):
 def test_a_grid_without_cases_is_an_error():
     with pytest.raises(ValueError, match="strong-morphism"):
         check_strong_morphism(powerset_monad(), [FinSet([])])
+
+
+def test_a_second_level_carrier_above_the_cap_is_an_error():
+    # a x a has 9 pairs, above the cap of 8 on the morphism's T T level
+    with pytest.raises(ValueError, match="^carrier too large to enumerate$"):
+        check_monad_morphism(powerset_monad(), [FinSet(["a", "b", "c"])])

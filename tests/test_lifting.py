@@ -340,6 +340,14 @@ def test_mode_mismatch_is_an_error():
 def test_dist_membership_rejects_carrier_escape():
     with pytest.raises(ValueError):
         lift_member_dist(RatDist.dirac("z"), RatDist.dirac("a"), S_STAIR)
+    # a recorded carrier must be the relation's side, not just contain it
+    wide = FinSet(["1", "2", "3"])
+    with pytest.raises(ValueError, match="^left carrier mismatch$"):
+        lift_member_dist(RatDist.dirac("1", carrier=wide), RatDist.dirac("a"),
+                         S_STAIR)
+    with pytest.raises(ValueError, match="^right carrier mismatch$"):
+        lift_member_dist(RatDist.dirac("1"),
+                         RatDist.dirac("a", carrier=FinSet(["a"])), S_STAIR)
 
 
 def test_diagonal_dist_membership_is_equality():

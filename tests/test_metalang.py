@@ -70,6 +70,12 @@ def test_parse_ty_arrow_is_right_associative():
     assert ty == Arrow(Base("b"), Arrow(Base("b"), Base("b")))
 
 
+def test_parse_ty_refuses_t_without_an_argument():
+    with pytest.raises(ParseError,
+                       match="^1:2: expected a type, found 'end of input'$"):
+        parse_ty("T")
+
+
 def test_parse_ty_prefix_t_binds_tighter_than_product():
     ty = parse_ty("T b * b")
     assert ty == Prod(TTy(Base("b")), Base("b"))
@@ -98,6 +104,12 @@ def test_typecheck_abs_val():
 def test_typecheck_let_sequencing():
     got = typecheck({"x": TTy(Base("b"))}, parse("let val y = x in val y"))
     assert got == TTy(Base("b"))
+
+
+def test_typecheck_snd_of_a_base_value_fails():
+    with pytest.raises(TypecheckError,
+                       match="^1:1: snd needs a product, got b$"):
+        typecheck({"x": Base("b")}, parse("snd x"))
 
 
 def test_typecheck_fst_of_function_fails():
