@@ -20,7 +20,7 @@ from .finset import Rel, atom_str
 from .lawcheck import check_cartesian, standard_battery
 from .lifting import lift_member_dist_saturated
 from .metalang import (TTy, Var, basic_lemma_check, logical_relation, parse,
-                       parse_ty, synthesize, t_size, term_str, type_pool,
+                       parse_ty, synthesize, term_str, type_pool,
                        typecheck, within_limit)
 from .poset import ORD, SYSTEMS, lift_relation_ord
 
@@ -32,11 +32,15 @@ class _Usage(Exception):
 def _checked(fn, *args, where=None):
     """fn(*args), with the ValueError by which the library refuses an
     input turned into a usage error ("where: " first when given); main
-    catches no ValueError, so one raised elsewhere keeps its traceback."""
+    catches no ValueError, so one raised elsewhere keeps its traceback.
+    The library recurses over an input's nesting, so an input nested
+    past the recursion limit is refused too."""
     try:
         return fn(*args)
     except ValueError as e:
         raise _Usage(str(e) if where is None else f"{where}: {e}")
+    except RecursionError:
+        raise _Usage(f"{where or 'the input'}: nested too deeply")
 
 
 def _read(path):
@@ -56,6 +60,8 @@ def _read_json(path):
         return json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise _Usage(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except RecursionError:
+        raise _Usage(f"{path}: nested too deeply")
 
 
 def _load(path, loader):
@@ -113,9 +119,8 @@ def cmd_check_laws(args):
 
 
 # lift builds the lifted pairs by union closure, one pass per pair of S
-# over the pairs built so far.  There can be as many of them as values
-# of T S, 2^|S| (a matching of 12 pairs has 4096), so the limit on T S
-# bounds the lifted pairs too
+# over the pairs built so far.  They are at most the monad's size of T S
+# (4096 for a matching of 12 pairs), so its limit bounds them too
 MAX_LIFT = 4096
 
 # poset-lift applies the upper-set monad to both posets and to the
@@ -133,7 +138,7 @@ def cmd_lift(args):
         raise _Usage("use 'poset-lift' for the ordered monad")
     s = _load(args.S, jsonio.load_rel)
     _checked(within_limit, f"T S over {len(s.pairs)} pairs",
-             t_size(t, len(s.pairs)), MAX_LIFT, where=args.S)
+             t.size(len(s.pairs)), MAX_LIFT, where=args.S)
     lifted = t.lift(s)
     if args.json:
         _emit({"monad": t.name, "lifted": jsonio.rel_json(lifted)})

@@ -137,7 +137,8 @@ def load_plts(obj) -> TransitionSystem:
     step = {}
     for key, dist in obj["step"].items():
         s, l = _split_step_key(key, states, labels)
-        if isinstance(dist, dict) and "weights" not in dist:
+        # the {"weights": {...}} form, unless "weights" names a state
+        if isinstance(dist, dict) and not isinstance(dist.get("weights"), dict):
             dist = {"weights": dist}
         nu = load_ratdist(dist, mode=mode)
         _require(nu.mode == mode,

@@ -5,8 +5,8 @@ Each checker is a generator of (diagram, input, lhs, rhs) cases over a
 grid of carriers.  run_cases stops at the first case whose two sides
 differ (the lifted checks and the basic lemma run under it too); _law
 adds the grid and rejects one that yields no case.  Enumerable monads
-are checked exhaustively as long as the carrier stays small (levels
-above the size cap fall back to seeded sampling); distribution monads
+are checked exhaustively while the monad's size of T stays within a
+limit (levels above it fall back to seeded sampling); distributions
 are checked on corner cases plus seeded random rational samples.  All
 structural maps (associativity, unitors, symmetry, projections) act on
 pair atoms the same way in every category, so one implementation
@@ -51,6 +51,7 @@ class LawReport:
 
 class SetCategory:
     """Finite sets with the cartesian product; the default case grid."""
+    empty = FinSet([])
 
     def product(self, a, b):
         return product_set(a, b)
@@ -92,12 +93,12 @@ def _dist_value(t: MonadInstance, rng, carrier, level):
     return random_dist(rng, inner, t.mode)
 
 
-def _values(t: MonadInstance, rng, obj, level=1, samples=100, cap=16):
+def _values(t: MonadInstance, rng, obj, level=1, samples=100, limit=2 ** 16):
     """Values of T^level over obj: exhaustive when feasible, else sampled."""
     if t.enumerable:
         cur = obj
         for i in range(level):
-            if len(cur) > cap:
+            if t.size(len(cur)) > limit:
                 if level - i != 1:
                     raise ValueError("carrier too large to enumerate")
                 return [t.sample(rng, cur) for _ in range(max(samples, 1))]
@@ -120,7 +121,7 @@ def _tobj(t: MonadInstance, obj):
 
 
 def _sample_budget(t: MonadInstance, samples, combos):
-    # exhaustive monads only sample above the size cap; keep those runs short
+    # exhaustive monads only sample above the size limit; keep those runs short
     if t.enumerable:
         return max(8, samples // 4)
     return max(1, samples // max(combos, 1))
@@ -142,11 +143,11 @@ def run_cases(name, cases, seed=None) -> LawReport:
     return LawReport(name, True, n, None, seed)
 
 
-def _law(name, default_size, budget_exponent):
+def _law(name, grid_size, budget_exponent):
     """Make a case generator into a law checker.
 
     The checker takes the category (default: t.category) and the grid
-    (default: category.default_sets(default_size)), seeds the RNG, and
+    (default: category.default_sets(grid_size)), seeds the RNG, and
     splits the sample budget over len(grid) ** budget_exponent carrier
     combinations.  The generator gets (t, sets, category, rng, per,
     **kw) and yields its cases lazily, so a run that stops at a
@@ -158,7 +159,7 @@ def _law(name, default_size, budget_exponent):
             rng = random.Random(seed)
             category = category or t.category
             sets = (sample_sets if sample_sets is not None
-                    else category.default_sets(default_size))
+                    else category.default_sets(grid_size))
             per = _sample_budget(t, samples, len(sets) ** budget_exponent)
             report = run_cases(
                 name, cases(t, sets, category, rng, per, **kw), seed)
@@ -344,7 +345,7 @@ def check_monad_morphism(t, sets, category, rng, per, delta=product_delta):
             yield ("morphism-unit", (x, y),
                    delta(t, t.v_unit((x, y)), a1, a2), (t.v_unit(x), t.v_unit(y)))
         tpair = category.product(ta1, ta2) if t.enumerable else None
-        for vv in _values(t, rng, p, 2, per, cap=8):
+        for vv in _values(t, rng, p, 2, per, limit=2 ** 8):
             lhs = delta(t, t.v_mult(vv, p), a1, a2)
             w = t.v_map(lambda v: delta(t, v, a1, a2), vv, tpair)
             w1 = t.v_map(_fst, w, ta1)

@@ -26,7 +26,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .dist import RatDist, random_dist
-from .finset import FinSet, Rel, product_set, subsets
+from .finset import Rel, product_set, subsets
 from .lawcheck import LawReport, product_delta, run_cases
 
 if TYPE_CHECKING:
@@ -294,19 +294,16 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
     """Flattening a related pair of second-level values stays related.
 
     Enumerable monads enumerate sub-relations of the lifted relation
-    (cap 2^16, beyond which seeded sampling takes over); distributions
-    sample second-level values built from couplings, which are related
-    by construction.
+    while the monad's size over its pairs is at most 2^16, and sample
+    them with a seed beyond it; distributions sample second-level values
+    built from couplings, which are related by construction.
     """
     rng = random.Random(seed)
 
     def enumerated():
         lifted = t.lift(s)
         lifted_pairs = list(lifted)
-        # a nonempty sub-relation projects to nonempty sets of values of
-        # T A, which are values of T (T A); only the empty one may not be
-        empty_is_value = frozenset() in t.apply(FinSet([]))
-        if len(lifted_pairs) <= 16:
+        if t.size(len(lifted_pairs)) <= 2 ** 16:
             candidates = subsets(lifted_pairs)
         else:
             candidates = (
@@ -316,7 +313,8 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
         seen = set()
         for r in candidates:
             xi = (frozenset(p[0] for p in r), frozenset(p[1] for p in r))
-            if (not r and not empty_is_value) or xi in seen:
+            # the empty sub-relation gives a value when T has one over no points
+            if (not r and not t.size(0)) or xi in seen:
                 continue
             seen.add(xi)
             m = (t.v_mult(xi[0], s.left), t.v_mult(xi[1], s.right))

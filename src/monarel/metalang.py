@@ -440,14 +440,6 @@ class Model:
         object.__setattr__(self, "base", MappingProxyType(dict(self.base)))
 
 
-def t_size(monad: MonadInstance, n: int) -> int:
-    """The number of values of an enumerable monad over n elements."""
-    # the enumerable set monads are the powersets: T over n atoms has 2^n
-    # values, one fewer when the empty set is not a value (then T over
-    # one atom has one value, not two)
-    return 2 ** n - 2 + len(monad.apply(UNIT))
-
-
 def within_limit(what: str, n: int, limit: int = MAX_CARRIER) -> int:
     """n, or ValueError naming what has more than limit elements."""
     if n > limit:
@@ -498,7 +490,7 @@ def _build_carrier(model: Model, ty: Ty) -> FinSet:
         return FinSet(graphs)
     if isinstance(ty, TTy):
         arg = denote(model, ty.arg)
-        within_limit(what, t_size(model.monad, len(arg)))
+        within_limit(what, model.monad.size(len(arg)))
         return model.monad.apply(arg)
     raise ValueError(f"not a type: {ty!r}")
 
@@ -580,7 +572,7 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
         denote(model1, ty)
         denote(model2, ty)
         within_limit(f"T over the {len(inner)} pairs lifted at {ty}",
-                     t_size(model1.monad, len(inner)))
+                     model1.monad.size(len(inner)))
         return model1.monad.lift(inner)
     raise ValueError(f"not a type: {ty!r}")
 

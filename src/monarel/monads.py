@@ -28,9 +28,9 @@ class MonadInstance:
     ordered variant.  category is the category the monad lives on
     (lawcheck.SET or poset.ORD); the law checkers take their grid and
     products from it.  Enumerable instances additionally expose apply()
-    on carriers.  member, when given, decides the lifted relation; see
-    related().  lift, when given, builds the pairs of the lifted relation
-    from a relation; see lift().
+    on carriers, and size() counts its values.  member, when given,
+    decides the lifted relation; see related().  lift, when given, builds
+    the pairs of the lifted relation from a relation; see lift().
     """
 
     def __init__(
@@ -93,6 +93,14 @@ class MonadInstance:
         if a not in self._apply_cache:
             self._apply_cache[a] = self._apply(a)
         return self._apply_cache[a]
+
+    def size(self, n):
+        """How many values T has over n points: 2^n when the empty set is
+        one, 2^n - 1 when not, None when T is not enumerable.  Exact for
+        the powersets, a bound for upper (its antichains are nonempty)."""
+        if not self.enumerable:
+            return None
+        return 2 ** n - 1 + len(self.apply(self.category.empty))
 
     def lift(self, s):
         """The lifted relation of s over (T A1, T A2), materialized.

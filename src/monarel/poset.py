@@ -285,6 +285,7 @@ def lift_relation_ord(s: OrderedRel, system: str) -> OrderedRel:
 
 class OrdCategory:
     """Adapter so the diagram checkers run over posets."""
+    empty = FinPoset([])
 
     def product(self, a, b):
         return ord_product(a, b)

@@ -322,6 +322,18 @@ def test_prob_bisim_pass_fail_and_counterexample(capsys, j):
     assert code == 0 and "bisimulation" in out
 
 
+def test_a_state_named_weights_is_read_as_a_state(capsys, j):
+    # only an object under "weights" marks the {"weights": {...}} form
+    plts = {"states": ["weights", "t"], "labels": ["l"], "mode": "probability",
+            "step": {"weights|l": {"weights": "1"}, "t|l": {"t": "1"}}}
+    for command in ("prob-bisim", "max-bisim"):
+        with deadline(5):
+            code, out, err = run(capsys, command, "--sys1", j("1.json", plts),
+                                 "--sys2", j("2.json", plts))
+        assert (code, err) == (0, "")
+    assert "weights  ~  weights" in out
+
+
 def test_max_bisim_auto_detects_plts(capsys, j):
     code, out, _ = run(capsys, "max-bisim", "--sys1", j("1.json", HALF_PLTS),
                        "--sys2", j("2.json", ONE_PLTS), "--json")
@@ -772,6 +784,23 @@ def test_poset_lift_accepts_at_most_9_points_and_pairs(capsys, j, left, right,
 
 
 # --------------------------------------------------------------- errors
+
+@pytest.mark.parametrize("flag,text,argv", [
+    ("--S", "[" * 100_000 + "]" * 100_000, ["lift", "--monad", "powerset"]),
+    ("--type", "T " * 3000 + "b", ["logrel"]),
+    ("--term", "(" * 5000 + "x" + ")" * 5000, ["basic-lemma", "--ctx", "x:b"]),
+], ids=["lift-json", "logrel-type", "basic-lemma-term"])
+def test_deeply_nested_inputs_are_refused(capsys, j, flag, text, argv):
+    if argv[0] != "lift":
+        argv = [*argv, "--model1", j("m1.json", MODEL),
+                "--model2", j("m2.json", MODEL)]
+    # the refusal names the file, or the option that held the text
+    value = text if flag == "--type" else j("in.txt", text)
+    with deadline(5):
+        code, out, err = run(capsys, *argv, flag, value)
+    where = flag if flag == "--type" else value
+    assert (code, out, err) == (2, "", f"error: {where}: nested too deeply\n")
+
 
 def test_bad_json_reports_location(capsys, tmp_path):
     p = tmp_path / "bad.json"
@@ -1263,6 +1292,28 @@ def test_max_bisim_answers_the_same_both_ways_and_is_a_bisimulation(pair):
         got = _run_in(tmp, check, [], {"--sys1": sys1, "--sys2": sys2,
                                        "--rel": there})
     assert got == (0, "bisimulation\n", "")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_system_pair(), st.data())
+def test_max_bisim_under_labels_answers_the_converse_when_swapped(pair, data):
+    # (a) with a --labels relation: the swapped call, given the converse
+    # label relation, prints the converse pairs
+    _, sys1, sys2 = pair
+    labels = sys1["labels"]
+    pairs = [[a, b] for a in labels for b in labels
+             if data.draw(st.booleans())]
+    rel = {"left": labels, "right": labels, "pairs": pairs}
+    converse = dict(rel, pairs=[[b, a] for a, b in pairs])
+    with tempfile.TemporaryDirectory() as tmp:
+        ran = [_run_in(tmp, "max-bisim", ["--json"],
+                       {"--sys1": a, "--sys2": b, "--labels": r})
+               for a, b, r in ((sys1, sys2, rel), (sys2, sys1, converse))]
+    assert [(code, err) for code, _, err in ran] == [(0, "")] * 2
+    there, back = (json.loads(out)["largest"] for _, out, _ in ran)
+    assert sorted(map(tuple, back["pairs"])) == \
+        sorted((b, a) for a, b in there["pairs"])
 
 
 @st.composite

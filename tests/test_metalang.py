@@ -13,7 +13,7 @@ from monarel import (FinSet, LawReport, Model, ParseError, Rel,
                      term_str, typecheck, upper_monad)
 from monarel.metalang import (MAX_CARRIER, Abs, App, Arrow, Base, Fst, Let,
                               PairTm, Prod, Snd, TTy, Tm, UnitTm, UnitTy, Val,
-                              Var, t_size)
+                              Var)
 
 B = FinSet(["a0", "a1"])
 MODEL = Model(powerset_monad(), {"b": B})
@@ -170,14 +170,6 @@ def test_model_base_is_a_read_only_copy():
         model.base["b"] = FinSet(["z"])
     assert model == Model(t, {"b": B})
     assert model != Model(t, {"b": FinSet(["z"])})
-
-
-@pytest.mark.parametrize("monad", [powerset_monad, nonempty_powerset_monad])
-def test_t_size_counts_the_values_of_t(monad):
-    m = monad()
-    atoms = ["a", "b", "c", "d", "e"]
-    for n in range(6):
-        assert t_size(m, n) == len(m.apply(FinSet(atoms[:n]))), n
 
 
 def test_oversized_carriers_are_refused_before_they_are_built():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from monarel import (FinSet, RatDist, atom_key, atom_str, corner_dists,
+from test_lawcheck import mutant_powerset
+
+from monarel import (ORD, FinSet, RatDist, atom_key, atom_str, corner_dists,
                      dist_monad, monads, nonempty_powerset_monad,
-                     powerset_monad, random_dist, value_key)
+                     powerset_monad, random_dist, upper_monad, value_key)
 
 F = Fraction
 
@@ -178,6 +180,28 @@ def test_powerset_apply_sizes():
     t = powerset_monad()
     assert len(t.apply(FinSet(["a", "b"]))) == 4
     assert len(nonempty_powerset_monad().apply(FinSet(["a", "b"]))) == 3
+
+
+@pytest.mark.parametrize("monad", [powerset_monad, nonempty_powerset_monad])
+def test_size_counts_the_values_of_t(monad):
+    m = monad()
+    atoms = ["a", "b", "c", "d", "e"]
+    for n in range(6):
+        assert m.size(n) == len(m.apply(FinSet(atoms[:n]))), n
+
+
+def test_size_bounds_the_antichains_of_upper():
+    t = upper_monad()
+    for p in ORD.default_sets(3):
+        for q in (p, t.apply(p)):
+            assert t.size(len(q)) >= len(t.apply(q)), q
+
+
+def test_size_is_none_for_dist_and_read_off_apply_for_a_mutant():
+    assert dist_monad("probability").size(3) is None
+    # built with the keywords alone, the mutant's apply holds the empty set
+    m = mutant_powerset()
+    assert [m.size(n) for n in range(6)] == [2 ** n for n in range(6)]
 
 
 def test_dist_mediator_is_the_product_distribution():
