@@ -35,7 +35,7 @@ class TransitionSystem:
             if l not in self.labels:
                 raise ValueError(f"unknown label {l!r}")
             # a distribution's successors are its support
-            for s2 in value.weights if isinstance(value, RatDist) else value:
+            for s2 in value.nums if isinstance(value, RatDist) else value:
                 if s2 not in self.states:
                     raise ValueError(f"successor {s2!r} outside the carrier")
         if absent is None:

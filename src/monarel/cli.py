@@ -292,11 +292,13 @@ def _models_and_base(args):
 def cmd_logrel(args):
     m1, m2, base = _models_and_base(args)
     ty = _checked(parse_ty, args.type, where="--type")
+    # formatting recurses over the type too: refuse a deep one up front
+    shown = _checked(str, ty, where="--type")
     rel = _checked(logical_relation, m1, m2, base, ty)
     if args.json:
-        _emit({"type": str(ty), "relation": jsonio.rel_json(rel)})
+        _emit({"type": shown, "relation": jsonio.rel_json(rel)})
     else:
-        print(f"relation at {ty}: {len(rel.pairs)} pairs over "
+        print(f"relation at {shown}: {len(rel.pairs)} pairs over "
               f"{len(rel.left)} x {len(rel.right)}")
         _print_pairs(rel)
     return 0
@@ -329,11 +331,12 @@ def cmd_basic_lemma(args):
     if args.term:
         t = _checked(parse, _read(args.term), where=args.term)
         _checked(typecheck, ctx, t, where=args.term)
+        shown = _checked(term_str, t, where=args.term)
         rep = _checked(basic_lemma_check, m1, m2, base, ctx, t)
         if args.json:
-            _emit({"term": term_str(t), "report": jsonio.report_json(rep)})
+            _emit({"term": shown, "report": jsonio.report_json(rep)})
         else:
-            print(f"{term_str(t)}: {'related' if rep.ok else 'NOT related'} "
+            print(f"{shown}: {'related' if rep.ok else 'NOT related'} "
                   f"({rep.cases} environment pairs)")
             if not rep.ok:
                 print(f"  counterexample: {_show(rep.counterexample)}")

@@ -4,90 +4,131 @@ atom_str order and display them like every other value."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .finset import FinSet, atom_key, atom_str
 
 MODES = ("probability", "subprobability")
+
+# RatDist is immutable; its constructor sets the slots through this
+_set = object.__setattr__
 
 
 class RatDist:
     """A finitely supported distribution with exact rational weights.
 
     mode "probability" requires total mass exactly 1, "subprobability"
-    at most 1.  Zero weights are dropped, so equal distributions have
-    equal supports.  The optional carrier records which finite set the
-    distribution lives over; nested distributions leave it None.
+    at most 1.  The weights are held as integer numerators (nums) over
+    one denominator (den), reduced so that gcd(den, *nums) is 1, with
+    zero weights dropped: equal distributions hold equal (nums, den).
+    The optional carrier records which finite set the distribution lives
+    over; nested distributions leave it None.
+
+    weights given with den None are rationals (Fraction, int or str);
+    with an int den they are integer numerators over den.  Both go
+    through the same checks.
     """
 
-    __slots__ = ("weights", "mode", "carrier")
+    __slots__ = ("nums", "den", "mode", "carrier", "_weights")
 
-    def __init__(self, weights, mode: str, carrier: FinSet | None = None):
+    def __init__(self, weights, mode: str, carrier: FinSet | None = None,
+                 den: int | None = None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        # the monad operations hand over Fractions they just computed:
-        # those are not rebuilt, and the mass is summed as integers over
-        # the least common denominator (den) of the weights
-        cleaned = {}
-        den = 1
-        for x, w in dict(weights).items():
-            if type(w) is not Fraction:
-                w = Fraction(w)
-            if w.numerator < 0:
-                raise ValueError(f"negative weight {w} at {x!r}")
-            if w.numerator:
-                cleaned[x] = w
-                den = lcm(den, w.denominator)
-        num = 0
-        for w in cleaned.values():
-            num += w.numerator * (den // w.denominator)
+        view = None
+        if den is None:
+            # over the lcm of the reduced denominators the numerators
+            # share no factor with it, so nothing is left to reduce
+            view = {}
+            den = 1
+            for x, w in dict(weights).items():
+                if type(w) is not Fraction:
+                    w = Fraction(w)
+                if w.numerator < 0:
+                    raise ValueError(f"negative weight {w} at {x!r}")
+                if w.numerator:
+                    view[x] = w
+                    den = lcm(den, w.denominator)
+            nums = {x: w.numerator * (den // w.denominator)
+                    for x, w in view.items()}
+        else:
+            if den < 1:
+                raise ValueError(f"denominator {den} is not positive")
+            nums = dict(weights)
+            if nums and min(nums.values()) <= 0:
+                for x, n in nums.items():
+                    if n < 0:
+                        raise ValueError(
+                            f"negative weight {Fraction(n, den)} at {x!r}")
+                nums = {x: n for x, n in nums.items() if n}
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {x: n // g for x, n in nums.items()}
+        num = sum(nums.values())
         if mode == "probability" and num != den:
             raise ValueError(f"probability mass {Fraction(num, den)} != 1")
         if mode == "subprobability" and num > den:
             raise ValueError(f"subprobability mass {Fraction(num, den)} > 1")
         if carrier is not None:
-            for x in cleaned:
+            for x in nums:
                 if x not in carrier:
                     raise ValueError(f"support element {x!r} outside the carrier")
-        object.__setattr__(self, "weights", cleaned)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "carrier", carrier)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+        _set(self, "mode", mode)
+        _set(self, "carrier", carrier)
+        _set(self, "_weights", view)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatDist is immutable")
 
+    @property
+    def weights(self):
+        """The weights as Fractions, read-only, in the order of nums."""
+        view = self._weights
+        if view is None:
+            den = self.den
+            view = {x: Fraction(n, den) for x, n in self.nums.items()}
+            _set(self, "_weights", view)
+        return MappingProxyType(view)
+
     @staticmethod
     def dirac(x, mode="probability", carrier=None) -> "RatDist":
-        return RatDist({x: Fraction(1)}, mode, carrier)
+        return RatDist({x: 1}, mode, carrier, 1)
 
     @staticmethod
     def zero(mode="subprobability", carrier=None) -> "RatDist":
-        return RatDist({}, mode, carrier)
+        return RatDist({}, mode, carrier, 1)
 
     def __call__(self, x) -> Fraction:
-        return self.weights.get(x, Fraction(0))
+        return Fraction(self.nums.get(x, 0), self.den)
 
     def mass(self, xs) -> Fraction:
-        return sum((w for x, w in self.weights.items() if x in xs), Fraction(0))
+        return Fraction(sum(n for x, n in self.nums.items() if x in xs),
+                        self.den)
 
     def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def support(self):
-        return sorted(self.weights, key=atom_key)
+        return sorted(self.nums, key=atom_key)
 
     def items(self):
-        return [(x, self.weights[x]) for x in self.support()]
+        weights = self.weights
+        return [(x, weights[x]) for x in self.support()]
 
     def __eq__(self, other):
         return (
             isinstance(other, RatDist)
             and self.mode == other.mode
-            and self.weights == other.weights
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.mode, frozenset(self.weights.items())))
+        return hash((self.mode, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
         def show(x):
@@ -125,8 +166,7 @@ def random_dist(rng, carrier, mode="probability") -> RatDist:
     for c in cuts + [total]:
         nums.append(c - prev)
         prev = c
-    weights = {x: Fraction(n, d) for x, n in zip(support, nums) if n}
-    return RatDist(weights, mode, carrier)
+    return RatDist(dict(zip(support, nums)), mode, carrier, d)
 
 
 def corner_dists(carrier, mode="probability"):
@@ -136,10 +176,9 @@ def corner_dists(carrier, mode="probability"):
     for x in elems:
         out.append(RatDist.dirac(x, mode, carrier))
     if elems:
-        n = len(elems)
-        out.append(RatDist({x: Fraction(1, n) for x in elems}, mode, carrier))
+        out.append(RatDist(dict.fromkeys(elems, 1), mode, carrier, len(elems)))
     if mode == "subprobability":
         out.append(RatDist.zero(mode, carrier))
         for x in elems:
-            out.append(RatDist({x: Fraction(1, 2)}, mode, carrier))
+            out.append(RatDist({x: 1}, mode, carrier, 2))
     return out

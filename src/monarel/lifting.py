@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -141,30 +140,29 @@ def lift_member_dist(nu1: RatDist, nu2: RatDist, s: Rel) -> CouplingResult:
         raise ValueError("left carrier mismatch")
     if nu2.carrier is not None and nu2.carrier != s.right:
         raise ValueError("right carrier mismatch")
-    for x in nu1.weights:
+    for x in nu1.nums:
         if x not in s.left:
             raise ValueError("left support leaves the carrier")
-    for y in nu2.weights:
+    for y in nu2.nums:
         if y not in s.right:
             raise ValueError("right support leaves the carrier")
 
-    total1, total2 = nu1.total(), nu2.total()
-    if total1 != total2:
+    # both sides over one denominator: the lcm of theirs
+    scale = lcm(nu1.den, nu2.den)
+    f1, f2 = scale // nu1.den, scale // nu2.den
+    target = sum(nu1.nums.values()) * f1
+    if target != sum(nu2.nums.values()) * f2:
         return CouplingResult(False)
-    if total1 == 0:
+    if target == 0:
         witness = RatDist({}, nu1.mode, product_set(s.left, s.right))
         return CouplingResult(True, witness=witness)
 
-    dens = [w.denominator for w in nu1.weights.values()]
-    dens += [w.denominator for w in nu2.weights.values()]
-    scale = lcm(*dens)
-    target = int(total1 * scale)
     edges = {}
     support1, support2 = nu1.support(), nu2.support()
     for x in support1:
-        edges[("src", ("l", x))] = int(nu1.weights[x] * scale)
+        edges[("src", ("l", x))] = nu1.nums[x] * f1
     for y in support2:
-        edges[(("r", y), "snk")] = int(nu2.weights[y] * scale)
+        edges[(("r", y), "snk")] = nu2.nums[y] * f2
     for x in support1:
         image = s.right_image(x)
         for y in support2:
@@ -172,13 +170,13 @@ def lift_member_dist(nu1: RatDist, nu2: RatDist, s: Rel) -> CouplingResult:
                 edges[(("l", x), ("r", y))] = target
     value, flow, reachable = _edmonds_karp(edges, "src", "snk")
     if value == target:
-        weights = {}
+        units = {}
         for x in support1:
             for y in support2:
-                units = flow.get((("l", x), ("r", y)), 0)
-                if units > 0:
-                    weights[(x, y)] = Fraction(units, scale)
-        witness = RatDist(weights, nu1.mode, product_set(s.left, s.right))
+                n = flow.get((("l", x), ("r", y)), 0)
+                if n > 0:
+                    units[(x, y)] = n
+        witness = RatDist(units, nu1.mode, product_set(s.left, s.right), scale)
         return CouplingResult(True, witness=witness)
     violated = tuple(
         x for x in support1 if ("l", x) in reachable

@@ -10,6 +10,8 @@ Egli-Milner for the powersets, coupling feasibility for distributions.
 
 from __future__ import annotations
 
+from math import lcm
+
 # the distribution values stay importable from here, next to their monad,
 # and so does the canonical value order under its older name
 from .dist import MODES, RatDist, corner_dists, random_dist  # noqa: F401
@@ -181,32 +183,37 @@ def dist_monad(mode: str = "probability") -> MonadInstance:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
+    # every operation works on the integer numerators over one
+    # denominator; RatDist reduces the result
     def d_map(fn, t, cod):
         out = {}
-        for x, w in t.weights.items():
+        for x, n in t.nums.items():
             y = fn(x)
-            out[y] = out[y] + w if y in out else w
+            out[y] = out[y] + n if y in out else n
         carrier = cod if isinstance(cod, FinSet) else None
-        return RatDist(out, mode, carrier)
+        return RatDist(out, mode, carrier, t.den)
 
     def d_mult(tt, obj):
+        # each inner distribution is scaled to the lcm of their denominators
+        den = lcm(*(inner.den for inner in tt.nums))
         out = {}
-        for inner, w in tt.weights.items():
-            for x, v in inner.weights.items():
+        for inner, w in tt.nums.items():
+            w *= den // inner.den
+            for x, v in inner.nums.items():
                 out[x] = out[x] + w * v if x in out else w * v
         carrier = obj if isinstance(obj, FinSet) else None
-        return RatDist(out, mode, carrier)
+        return RatDist(out, mode, carrier, tt.den * den)
 
     def d_strength(x, t):
-        return RatDist({(x, y): w for y, w in t.weights.items()}, mode)
+        return RatDist({(x, y): n for y, n in t.nums.items()}, mode, None, t.den)
 
     def d_mediator(t, u):
         out = {
-            (x, y): wx * wy
-            for x, wx in t.weights.items()
-            for y, wy in u.weights.items()
+            (x, y): nx * ny
+            for x, nx in t.nums.items()
+            for y, ny in u.nums.items()
         }
-        return RatDist(out, mode)
+        return RatDist(out, mode, None, t.den * u.den)
 
     def d_member(nu1, nu2, s):
         for nu in (nu1, nu2):

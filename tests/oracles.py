@@ -250,3 +250,39 @@ def keyed_saturate(s):
         if find(("L", a)) == find(("R", b))
     }
     return classes, Rel(s.left, s.right, sat)
+
+
+# The distribution monad's value operations as they were written in
+# Fraction arithmetic, before RatDist held integer numerators over one
+# denominator.  mode is the monad's; each builds its RatDist from
+# Fraction weights.
+
+def fraction_map(mode, fn, t, cod):
+    out = {}
+    for x, w in t.weights.items():
+        y = fn(x)
+        out[y] = out[y] + w if y in out else w
+    carrier = cod if isinstance(cod, FinSet) else None
+    return RatDist(out, mode, carrier)
+
+
+def fraction_mult(mode, tt, obj):
+    out = {}
+    for inner, w in tt.weights.items():
+        for x, v in inner.weights.items():
+            out[x] = out[x] + w * v if x in out else w * v
+    carrier = obj if isinstance(obj, FinSet) else None
+    return RatDist(out, mode, carrier)
+
+
+def fraction_strength(mode, x, t):
+    return RatDist({(x, y): w for y, w in t.weights.items()}, mode)
+
+
+def fraction_mediator(mode, t, u):
+    out = {
+        (x, y): wx * wy
+        for x, wx in t.weights.items()
+        for y, wy in u.weights.items()
+    }
+    return RatDist(out, mode)

@@ -802,6 +802,29 @@ def test_deeply_nested_inputs_are_refused(capsys, j, flag, text, argv):
     assert (code, out, err) == (2, "", f"error: {where}: nested too deeply\n")
 
 
+# printing a type or a term recurses over it like the check does, so it
+# is done, and a deep input refused, before the check runs: on one atom,
+# each relation below is computed within the recursion limit
+ONE_ATOM = {"monad": "powerset", "base": {"b": ["a0"]}}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["logrel", "basic-lemma"])
+def test_deep_types_and_terms_are_refused_before_printing(capsys, j, command,
+                                                          as_json):
+    argv = [command, "--model1", j("m1.json", ONE_ATOM),
+            "--model2", j("m2.json", ONE_ATOM)]
+    if command == "logrel":
+        where = "--type"
+        argv += [where, " * ".join(["b"] * 600)]
+    else:
+        where = j("t.ml", "snd " * 499 + "p")
+        argv += ["--ctx", "p:" + " * ".join(["b"] * 500), "--term", where]
+    with deadline(5):
+        code, out, err = run(capsys, *argv, *["--json"] * as_json)
+    assert (code, out, err) == (2, "", f"error: {where}: nested too deeply\n")
+
+
 def test_bad_json_reports_location(capsys, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"left": [,]}')

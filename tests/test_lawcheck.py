@@ -1,15 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from monarel import (FinSet, MonadInstance, ORD, SET, check_cartesian,
+from monarel import (FinSet, MonadInstance, ORD, SET, RatDist, check_cartesian,
                      check_commutative, check_derived_strengths,
                      check_mediator_laws, check_monad_laws,
                      check_monad_morphism, check_monoidal_morphism,
                      check_strength_laws, check_strong_morphism, dist_monad,
                      nonempty_powerset_monad, powerset_monad, product_delta,
                      standard_battery, subsets, upper_monad, value_key)
+from monarel.jsonio import dumps, report_json
 
 SMALL = [FinSet(["a"]), FinSet(["a", "b"])]
 
@@ -154,6 +156,60 @@ def test_mutant_asymmetric_mediator_breaks_commutativity():
                          if value_key(x) <= value_key(y))
     r = check_commutative(mutant_powerset(mediator=biased), SMALL)
     assert not r.ok and r.counterexample is not None
+
+
+def _biased_dist_mediator(t, u):
+    # all of u's mass moves to its first support point
+    first = u.support()[:1]
+    return RatDist({(x, y): w * u.total() for x, w in t.weights.items()
+                    for y in first}, "probability")
+
+
+def _dist(weights):
+    return {"mode": "probability", "weights": weights}
+
+
+# the text and the --json bytes of two failing distribution checks, as
+# recorded when the distribution operations still ran in Fraction arithmetic
+FAILING_DIST_TEXTS = [
+    (check_commutative, ["a", "b"], (
+        "commutativity: FAIL (3 cases)\n"
+        "  diagram mediator-symmetry: input (RatDist(1*a), RatDist(1/2*a + 1/2*b))\n"
+        "  lhs RatDist(1/2*(a,a) + 1/2*(b,a))\n"
+        "  rhs RatDist(1*(a,a))"), {
+        "cases": 3, "law": "commutativity", "ok": False, "seed": 3,
+        "counterexample": {
+            "diagram": "mediator-symmetry",
+            "input": [_dist({"a": "1"}), _dist({"a": "1/2", "b": "1/2"})],
+            "lhs": _dist({"(a,a)": "1/2", "(b,a)": "1/2"}),
+            "rhs": _dist({"(a,a)": "1"})}}),
+    (check_monoidal_morphism, ["a", "b", "c"], (
+        "monoidal-morphism: FAIL (11 cases)\n"
+        "  diagram monoidal-morphism-square: input (RatDist(1*(a,a)), "
+        "RatDist(2/3*(a,c) + 1/6*(c,b) + 1/6*(c,c)))\n"
+        "  lhs (RatDist(1*(a,a)), RatDist(1*(a,c)))\n"
+        "  rhs (RatDist(1*(a,a)), RatDist(1*(a,b)))"), {
+        "cases": 11, "law": "monoidal-morphism", "ok": False, "seed": 3,
+        "counterexample": {
+            "diagram": "monoidal-morphism-square",
+            "input": [_dist({"(a,a)": "1"}),
+                      _dist({"(a,c)": "2/3", "(c,b)": "1/6", "(c,c)": "1/6"})],
+            "lhs": [_dist({"(a,a)": "1"}), _dist({"(a,c)": "1"})],
+            "rhs": [_dist({"(a,a)": "1"}), _dist({"(a,b)": "1"})]}}),
+]
+
+
+@pytest.mark.parametrize("checker,atoms,text,payload", FAILING_DIST_TEXTS,
+                         ids=["commutative", "monoidal-morphism"])
+def test_a_failing_dist_check_prints_as_recorded(checker, atoms, text, payload):
+    dist = dist_monad("probability")
+    mutant = MonadInstance(
+        "dist-mutant", enumerable=False, mode="probability",
+        unit=dist.v_unit, map=dist.v_map, mult=dist.v_mult,
+        strength=dist.v_strength, mediator=_biased_dist_mediator)
+    r = checker(mutant, [FinSet(atoms)], samples=16, seed=3)
+    assert str(r) == text
+    assert dumps(report_json(r)) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def test_mutant_delta_caught_by_each_morphism_checker():

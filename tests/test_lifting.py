@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from monarel import (FinSet, LawReport, Model, RatDist, Rel,
                      logical_relation, nonempty_powerset_monad, parse_ty,
                      powerset_monad, random_dist, saturate, subsets,
                      upper_monad)
+from monarel.bisim import PLTS, check_prob_bisimulation
+from monarel.jsonio import dumps, report_json
 from monarel.lifting import class_sides
 
 F = Fraction
@@ -263,6 +266,40 @@ def test_witness_has_exact_marginals_and_support():
     res = lift_member_dist(half("1", "2"), half("a", "b"), S_STAIR)
     assert oracles.coupling_valid(res.witness, half("1", "2"),
                                   half("a", "b"), S_STAIR)
+
+
+def test_coupling_answers_print_as_recorded():
+    # recorded when lift_member_dist still cleared Fraction denominators
+    s = Rel(["1", "2", "3"], AB, [("1", "a"), ("2", "a"), ("3", "b")])
+    step = {"1": F(1, 3), "2": F(1, 4), "3": F(5, 12)}
+    nu1 = RatDist(step, "probability", s.left)
+    f1 = PLTS(["1", "2", "3"], ["l"],
+              {("1", "l"): step, ("2", "l"): step, ("3", "l"): {"3": 1}})
+    f2 = PLTS(AB, ["l"], {("a", "l"): {"a": F(1, 2), "b": F(1, 2)},
+                          ("b", "l"): {"b": 1}})
+    assert str(lift_member_dist(nu1, f2.step("a", "l"), s)) == (
+        "CouplingResult(member=False, witness=None, violated=('1', '2'))")
+    full = Rel(s.left, AB, [(x, y) for x in s.left for y in AB])
+    nu2 = RatDist({"a": F(7, 12), "b": F(5, 12)}, "probability", AB)
+    assert str(lift_member_dist(nu1, nu2, full)) == (
+        "CouplingResult(member=True, witness=RatDist("
+        "1/3*(1,a) + 1/4*(2,a) + 5/12*(3,b)), violated=None)")
+    r = check_prob_bisimulation(s, f1, f2, Rel.diagonal(FinSet(["l"])))
+    assert str(r) == (
+        "bisimulation: FAIL (1 cases)\n"
+        "  pair ('1', 'a')\n"
+        "  labels ('l', 'l')\n"
+        "  succ (RatDist(1/3*1 + 1/4*2 + 5/12*3), RatDist(1/2*a + 1/2*b))\n"
+        "  violated ('1', '2')")
+    assert dumps(report_json(r)) == json.dumps({
+        "cases": 1, "law": "bisimulation", "ok": False,
+        "counterexample": {
+            "labels": ["l", "l"], "pair": ["1", "a"],
+            "succ": [{"mode": "probability",
+                      "weights": {"1": "1/3", "2": "1/4", "3": "5/12"}},
+                     {"mode": "probability",
+                      "weights": {"a": "1/2", "b": "1/2"}}],
+            "violated": ["1", "2"]}}, sort_keys=True, indent=2)
 
 
 def test_infeasible_pair_yields_a_violated_subset():

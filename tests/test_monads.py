@@ -65,20 +65,23 @@ def test_corner_dists_cover_vertices():
     assert [("b", F(1))] in weights
 
 
-def _agrees_with_the_oracle(weights, mode, carrier=None):
+def _agrees_with_the_oracle(weights, mode, carrier=None, den=None):
     """RatDist keeps the oracle's weights, in its order and as Fractions,
-    with its total, or raises its message.  Returns the outcome."""
+    with its total, or raises its message.  Integer numerators over den
+    are the rationals n/den to the oracle.  Returns the outcome."""
+    rationals = weights if den is None else {
+        x: Fraction(n, den) for x, n in weights.items()}
     try:
-        want, total = oracles.validated_weights(weights, mode, carrier)
+        want, total = oracles.validated_weights(rationals, mode, carrier)
     except ValueError as e:
         with pytest.raises(ValueError) as got:
-            RatDist(weights, mode, carrier)
+            RatDist(weights, mode, carrier, den)
         assert str(got.value) == str(e)
         words = str(e).split()
         if words[1] == "mass":
             return f"{words[0]} {'below' if F(words[2]) < 1 else 'above'}"
         return " ".join(words[:2])
-    nu = RatDist(weights, mode, carrier)
+    nu = RatDist(weights, mode, carrier, den)
     assert list(nu.weights.items()) == list(want.items())
     assert all(type(w) is Fraction for w in nu.weights.values())
     assert nu.total() == total
@@ -117,15 +120,34 @@ def test_ratdist_agrees_with_the_fraction_arithmetic_oracle():
     } | {"negative weight", "support element"}
 
 
+def test_numerators_over_a_denominator_agree_with_the_oracle():
+    # unreduced numerators, zeros and now and then a negative one
+    rng = random.Random(8)
+    carrier = FinSet(["a", "b", "c"])
+    outcomes = set()
+    for _ in range(600):
+        atoms = rng.sample(["a", "b", "c", "z"], rng.randint(0, 4))
+        den = rng.choice([1, 2, 3, 4, 6, 12]) * rng.randint(1, 3)
+        nums = {x: rng.randint(-1 if rng.random() < 0.1 else 0, den)
+                for x in atoms}
+        for mode in ("probability", "subprobability"):
+            outcomes.add(_agrees_with_the_oracle(
+                nums, mode, rng.choice([carrier, None]), den))
+    assert outcomes == {
+        f"{mode} {mass}" for mode in ("probability", "subprobability")
+        for mass in ("exactly", "below", "above")
+    } | {"negative weight", "support element"}
+
+
 def test_dist_operations_build_what_the_oracle_accepts(monkeypatch):
     outcomes = []
 
     class Checked(RatDist):
         __slots__ = ()
 
-        def __init__(self, weights, mode, carrier=None):
-            outcomes.append(_agrees_with_the_oracle(weights, mode, carrier))
-            super().__init__(weights, mode, carrier)
+        def __init__(self, weights, mode, carrier=None, den=None):
+            outcomes.append(_agrees_with_the_oracle(weights, mode, carrier, den))
+            super().__init__(weights, mode, carrier, den)
 
     monkeypatch.setattr(monads, "RatDist", Checked)
     rng = random.Random(7)
@@ -144,6 +166,60 @@ def test_dist_operations_build_what_the_oracle_accepts(monkeypatch):
     assert len(outcomes) == 320
     assert set(outcomes) == {"probability exactly", "subprobability exactly",
                              "subprobability below"}
+
+
+def _same_value(got, want):
+    """got holds want's weights, as Fractions and in its order, its mode
+    and carrier, and prints and sorts as it does."""
+    assert list(got.weights.items()) == list(want.weights.items())
+    assert all(type(w) is Fraction for w in got.weights.values())
+    assert (got.mode, got.carrier) == (want.mode, want.carrier)
+    assert repr(got) == repr(want)
+    assert atom_key(got) == atom_key(want)
+
+
+def test_integer_dist_operations_agree_with_the_fraction_oracle():
+    rng = random.Random(9)
+    carrier, cod = FinSet(["a", "b", "c"]), FinSet(["x", "y"])
+    image = {"a": "x", "b": "x", "c": "y"}
+    for mode in ("probability", "subprobability"):
+        t = dist_monad(mode)
+        got, want = [], []
+        for _ in range(40):
+            nu, mu = (random_dist(rng, carrier, mode) for _ in range(2))
+            # distributions over distributions
+            inner = [nu, mu, random_dist(rng, carrier, mode)]
+            tt, uu = (random_dist(rng, inner, mode) for _ in range(2))
+            cases = [
+                (t.v_map(image.get, nu, cod),
+                 oracles.fraction_map(mode, image.get, nu, cod)),
+                (t.v_map(lambda d: t.v_map(image.get, d), tt),
+                 oracles.fraction_map(mode, lambda d: oracles.fraction_map(
+                     mode, image.get, d, None), tt, None)),
+                (t.v_mult(tt, carrier),
+                 oracles.fraction_mult(mode, tt, carrier)),
+                (t.v_mult(uu), oracles.fraction_mult(mode, uu, None)),
+                (t.v_strength("p", nu), oracles.fraction_strength(mode, "p", nu)),
+                (t.v_strength(mu, tt), oracles.fraction_strength(mode, mu, tt)),
+                (t.v_mediator(nu, mu), oracles.fraction_mediator(mode, nu, mu)),
+                (t.v_mediator(tt, uu), oracles.fraction_mediator(mode, tt, uu)),
+            ]
+            for value, reference in cases:
+                _same_value(value, reference)
+                got.append(value)
+                want.append(reference)
+        # == gives the verdicts of equal Fraction weights, and equal
+        # values hash alike, across the two arithmetics too
+        weights = [(w.mode, dict(w.weights)) for w in want]
+        equal_pairs = 0
+        for g1, w1, k1 in zip(got, want, weights):
+            assert g1 == w1 and hash(g1) == hash(w1)
+            for g2, w2, k2 in zip(got, want, weights):
+                assert (g1 == g2) == (w1 == w2) == (k1 == k2)
+                if k1 == k2:
+                    assert hash(g1) == hash(g2) == hash(w2)
+                    equal_pairs += g1 is not g2
+        assert equal_pairs > 0
 
 
 @given(st.integers(0, 10_000), st.integers(1, 4))
