@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from types import MappingProxyType
 
 from .finset import FinSet, atom_key, atom_str
 
@@ -25,47 +24,38 @@ class RatDist:
     The optional carrier records which finite set the distribution lives
     over; nested distributions leave it None.
 
-    weights given with den None are rationals (Fraction, int or str);
-    with an int den they are integer numerators over den.  Both go
-    through the same checks.
+    weights given with den None are rationals (Fraction, int or str),
+    which become integer numerators over the lcm of their denominators;
+    with an int den they are integer numerators over den already.
     """
 
-    __slots__ = ("nums", "den", "mode", "carrier", "_weights")
+    __slots__ = ("nums", "den", "mode", "carrier")
 
     def __init__(self, weights, mode: str, carrier: FinSet | None = None,
                  den: int | None = None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        view = None
         if den is None:
-            # over the lcm of the reduced denominators the numerators
-            # share no factor with it, so nothing is left to reduce
-            view = {}
-            den = 1
-            for x, w in dict(weights).items():
-                if type(w) is not Fraction:
-                    w = Fraction(w)
-                if w.numerator < 0:
-                    raise ValueError(f"negative weight {w} at {x!r}")
-                if w.numerator:
-                    view[x] = w
-                    den = lcm(den, w.denominator)
+            # rationals become numerators over the lcm of their denominators
+            fracs = {x: w if type(w) is Fraction else Fraction(w)
+                     for x, w in dict(weights).items()}
+            den = lcm(*(w.denominator for w in fracs.values()))
             nums = {x: w.numerator * (den // w.denominator)
-                    for x, w in view.items()}
+                    for x, w in fracs.items()}
+        elif den < 1:
+            raise ValueError(f"denominator {den} is not positive")
         else:
-            if den < 1:
-                raise ValueError(f"denominator {den} is not positive")
             nums = dict(weights)
-            if nums and min(nums.values()) <= 0:
-                for x, n in nums.items():
-                    if n < 0:
-                        raise ValueError(
-                            f"negative weight {Fraction(n, den)} at {x!r}")
-                nums = {x: n for x, n in nums.items() if n}
-            g = gcd(den, *nums.values())
-            if g != 1:
-                den //= g
-                nums = {x: n // g for x, n in nums.items()}
+        if nums and min(nums.values()) <= 0:
+            for x, n in nums.items():
+                if n < 0:
+                    raise ValueError(
+                        f"negative weight {Fraction(n, den)} at {x!r}")
+            nums = {x: n for x, n in nums.items() if n}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {x: n // g for x, n in nums.items()}
         num = sum(nums.values())
         if mode == "probability" and num != den:
             raise ValueError(f"probability mass {Fraction(num, den)} != 1")
@@ -79,20 +69,15 @@ class RatDist:
         _set(self, "den", den)
         _set(self, "mode", mode)
         _set(self, "carrier", carrier)
-        _set(self, "_weights", view)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatDist is immutable")
 
     @property
-    def weights(self):
-        """The weights as Fractions, read-only, in the order of nums."""
-        view = self._weights
-        if view is None:
-            den = self.den
-            view = {x: Fraction(n, den) for x, n in self.nums.items()}
-            _set(self, "_weights", view)
-        return MappingProxyType(view)
+    def weights(self) -> dict:
+        """The weights as Fractions, in the order of nums."""
+        den = self.den
+        return {x: Fraction(n, den) for x, n in self.nums.items()}
 
     @staticmethod
     def dirac(x, mode="probability", carrier=None) -> "RatDist":
@@ -116,8 +101,8 @@ class RatDist:
         return sorted(self.nums, key=atom_key)
 
     def items(self):
-        weights = self.weights
-        return [(x, weights[x]) for x in self.support()]
+        nums, den = self.nums, self.den
+        return [(x, Fraction(nums[x], den)) for x in self.support()]
 
     def __eq__(self, other):
         return (

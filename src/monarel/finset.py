@@ -17,7 +17,7 @@ def atom_key(a):
     """Canonical sort key inducing a total order on atoms and values.
 
     A distribution (dist.RatDist, which imports this module) is known by
-    its weights: it sorts by its mode and its weighted support.
+    its numerators: it sorts by its mode and its weighted support.
     """
     if isinstance(a, str):
         return ("s", a)
@@ -27,7 +27,7 @@ def atom_key(a):
         return ("p", atom_key(a[0]), atom_key(a[1]))
     if isinstance(a, frozenset):
         return ("t", tuple(sorted(atom_key(x) for x in a)))
-    if hasattr(a, "weights"):
+    if hasattr(a, "nums"):
         return ("d", a.mode,
                 tuple(sorted((atom_key(x), w) for x, w in a.weights.items())))
     raise TypeError(f"not an atom: {a!r}")
@@ -42,7 +42,7 @@ def atom_str(a) -> str:
         return f"({atom_str(a[0])},{atom_str(a[1])})"
     if isinstance(a, frozenset):
         return "{" + ",".join(atom_str(x) for x in sorted(a, key=atom_key)) + "}"
-    if hasattr(a, "weights"):
+    if hasattr(a, "nums"):
         return "{" + ",".join(f"{atom_str(x)}:{w}" for x, w in a.items()) + "}"
     raise TypeError(f"not an atom: {a!r}")
 

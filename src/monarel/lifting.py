@@ -25,7 +25,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .dist import RatDist, random_dist
-from .finset import Rel, product_set, subsets
+from .finset import Rel, subsets
 from .lawcheck import LawReport, product_delta, run_cases
 
 if TYPE_CHECKING:
@@ -128,12 +128,10 @@ def _edmonds_karp(edges, src, snk):
         value += push
 
 
-def lift_member_dist(nu1: RatDist, nu2: RatDist, s: Rel) -> CouplingResult:
-    """Decide whether a coupling of nu1 and nu2 supported in S exists.
-
-    Exact integral max-flow after clearing denominators: the marginals
-    are feasible iff the flow saturates both total masses.
-    """
+def _over_carriers(nu1: RatDist, nu2: RatDist, s: Rel) -> None:
+    """Refuse a pair that is not in T A1 x T A2 for S between A1 and A2:
+    the modes must agree, a recorded carrier must be S's side, and each
+    support must lie in its side."""
     if nu1.mode != nu2.mode:
         raise ValueError(f"mode mismatch: {nu1.mode} vs {nu2.mode}")
     if nu1.carrier is not None and nu1.carrier != s.left:
@@ -147,6 +145,14 @@ def lift_member_dist(nu1: RatDist, nu2: RatDist, s: Rel) -> CouplingResult:
         if y not in s.right:
             raise ValueError("right support leaves the carrier")
 
+
+def lift_member_dist(nu1: RatDist, nu2: RatDist, s: Rel) -> CouplingResult:
+    """Decide whether a coupling of nu1 and nu2 supported in S exists.
+
+    Exact integral max-flow after clearing denominators: the marginals
+    are feasible iff the flow saturates both total masses.
+    """
+    _over_carriers(nu1, nu2, s)
     # both sides over one denominator: the lcm of theirs
     scale = lcm(nu1.den, nu2.den)
     f1, f2 = scale // nu1.den, scale // nu2.den
@@ -154,8 +160,7 @@ def lift_member_dist(nu1: RatDist, nu2: RatDist, s: Rel) -> CouplingResult:
     if target != sum(nu2.nums.values()) * f2:
         return CouplingResult(False)
     if target == 0:
-        witness = RatDist({}, nu1.mode, product_set(s.left, s.right))
-        return CouplingResult(True, witness=witness)
+        return CouplingResult(True, witness=RatDist.zero(nu1.mode))
 
     edges = {}
     support1, support2 = nu1.support(), nu2.support()
@@ -176,8 +181,7 @@ def lift_member_dist(nu1: RatDist, nu2: RatDist, s: Rel) -> CouplingResult:
                 n = flow.get((("l", x), ("r", y)), 0)
                 if n > 0:
                     units[(x, y)] = n
-        witness = RatDist(units, nu1.mode, product_set(s.left, s.right), scale)
-        return CouplingResult(True, witness=witness)
+        return CouplingResult(True, witness=RatDist(units, nu1.mode, den=scale))
     violated = tuple(
         x for x in support1 if ("l", x) in reachable
     )
@@ -241,8 +245,7 @@ def _saturated_sides(s: Rel) -> list:
 def lift_member_dist_saturated(nu1: RatDist, nu2: RatDist, s: Rel) -> bool:
     """Class-mass criterion: on a saturated relation, membership holds
     iff nu1 and nu2 give every equivalence class the same mass."""
-    if nu1.mode != nu2.mode:
-        raise ValueError(f"mode mismatch: {nu1.mode} vs {nu2.mode}")
+    _over_carriers(nu1, nu2, s)
     return all(nu1.mass(left) == nu2.mass(right)
                for left, right in _saturated_sides(s))
 
@@ -251,6 +254,7 @@ def converse_coupling(nu1: RatDist, nu2: RatDist, s: Rel) -> RatDist:
     """The product-form coupling on a saturated relation with matching
     class masses: inside a class of mass d, the pair (a1, a2) carries
     nu1(a1) * nu2(a2) / d."""
+    _over_carriers(nu1, nu2, s)
     weights = {}
     for left, right in _saturated_sides(s):
         d1, d2 = nu1.mass(left), nu2.mass(right)
@@ -263,7 +267,7 @@ def converse_coupling(nu1: RatDist, nu2: RatDist, s: Rel) -> RatDist:
                 w = nu1(a) * nu2(b) / d1
                 if w:
                     weights[(a, b)] = w
-    return RatDist(weights, nu1.mode, product_set(s.left, s.right))
+    return RatDist(weights, nu1.mode)
 
 
 def _sample_couplings(t: MonadInstance, rng, s: Rel, samples: int):

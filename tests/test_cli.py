@@ -267,6 +267,23 @@ def test_member_dist_saturated_mode(capsys, j):
     assert code == 0 and out.startswith("member")
 
 
+def test_member_dist_refuses_values_outside_the_carriers(capsys, j):
+    # the flow and the class-mass deciders both refuse a value outside T A
+    sat = {"left": ["1", "2"], "right": ["a", "b"],
+           "pairs": [["1", "a"], ["2", "a"]]}
+    for flags in ([], ["--saturated"]):
+        for nu1, nu2, side in [("z", "y", "left"), ("1", "y", "right")]:
+            code, out, err = run(
+                capsys, "member", "--monad", "dist", *flags,
+                "--S", j("s.json", sat),
+                "--nu1", j("nu1.json", {"mode": "probability",
+                                        "weights": {nu1: "1"}}),
+                "--nu2", j("nu2.json", {"mode": "probability",
+                                        "weights": {nu2: "1"}}))
+            assert (code, out) == (2, ""), (flags, side)
+            assert f"{side} support leaves the carrier" in err
+
+
 def test_member_missing_operand_exits_2(capsys, j):
     code, _, err = run(capsys, "member", "--monad", "powerset",
                        "--S", j("s.json", STAIR))

@@ -259,6 +259,7 @@ def test_coupling_found_on_the_stair_relation():
     res = lift_member_dist(half("1", "2"), half("a", "b"), S_STAIR)
     assert res.member and bool(res)
     assert res.witness.weights == {("1", "a"): F(1, 2), ("2", "b"): F(1, 2)}
+    assert res.witness.carrier is None
     assert res.violated is None
 
 
@@ -375,16 +376,29 @@ def test_mode_mismatch_is_an_error():
 
 
 def test_dist_membership_rejects_carrier_escape():
-    with pytest.raises(ValueError):
-        lift_member_dist(RatDist.dirac("z"), RatDist.dirac("a"), S_STAIR)
-    # a recorded carrier must be the relation's side, not just contain it
+    # the flow decider, the class-mass decider and the converse coupling
+    # all refuse a pair outside T A1 x T A2, on either side
+    full = saturate(S_STAIR)[1]
+    one, a = RatDist.dirac("1"), RatDist.dirac("a")
+    z, y = RatDist.dirac("z"), RatDist.dirac("y")
     wide = FinSet(["1", "2", "3"])
-    with pytest.raises(ValueError, match="^left carrier mismatch$"):
-        lift_member_dist(RatDist.dirac("1", carrier=wide), RatDist.dirac("a"),
-                         S_STAIR)
-    with pytest.raises(ValueError, match="^right carrier mismatch$"):
-        lift_member_dist(RatDist.dirac("1"),
-                         RatDist.dirac("a", carrier=FinSet(["a"])), S_STAIR)
+    cases = [
+        (z, a, "left support leaves the carrier"),
+        (one, y, "right support leaves the carrier"),
+        (z, y, "left support leaves the carrier"),
+        # a recorded carrier must be the relation's side, not just contain it
+        (RatDist.dirac("1", carrier=wide), a, "left carrier mismatch"),
+        (one, RatDist.dirac("a", carrier=FinSet(["a"])), "right carrier mismatch"),
+        (one, RatDist.dirac("a", carrier=FinSet(["a", "b", "c"])),
+         "right carrier mismatch"),
+    ]
+    for decide in (lift_member_dist, lift_member_dist_saturated,
+                   converse_coupling):
+        for nu1, nu2, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                decide(nu1, nu2, full)
+    with pytest.raises(ValueError, match="^left support leaves the carrier$"):
+        lift_member_dist(z, a, S_STAIR)
 
 
 def test_diagonal_dist_membership_is_equality():
@@ -464,6 +478,7 @@ def test_converse_coupling_frozen_example():
     nu1 = RatDist({"1": F(1, 3), "2": F(2, 3)}, "probability")
     gamma = converse_coupling(nu1, RatDist.dirac("a"), s)
     assert gamma.weights == {("1", "a"): F(1, 3), ("2", "a"): F(2, 3)}
+    assert gamma.carrier is None
 
 
 def test_converse_coupling_is_a_coupling():
