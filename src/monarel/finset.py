@@ -10,6 +10,7 @@ distributions included, and FinSets and relations iterate in its order.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from operator import itemgetter
 
 
@@ -28,8 +29,8 @@ def atom_key(a):
     if isinstance(a, frozenset):
         return ("t", tuple(sorted(atom_key(x) for x in a)))
     if hasattr(a, "nums"):
-        return ("d", a.mode,
-                tuple(sorted((atom_key(x), w) for x, w in a.weights.items())))
+        return ("d", a.mode, tuple(sorted(
+            (atom_key(x), Fraction(n, a.den)) for x, n in a.nums.items())))
     raise TypeError(f"not an atom: {a!r}")
 
 

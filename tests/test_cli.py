@@ -560,6 +560,20 @@ def test_oversized_carriers_exit_2(capsys, j, command, argv):
     assert out == ""
 
 
+def test_an_oversized_applied_lambda_is_refused(capsys, j):
+    # the argument's carrier T b -> T b has 256 graphs, but the lambda's
+    # domain (T b -> T b) -> b is refused before the argument is evaluated
+    term = "(\\g:(T b -> T b) -> b. x) (\\h:T b -> T b. x)"
+    with deadline(5):
+        code, out, err = run(capsys, "basic-lemma",
+                             "--model1", j("m1.json", MODEL),
+                             "--model2", j("m2.json", MODEL),
+                             "--ctx", "x:b", "--term", j("t.ml", term))
+    assert (code, out, err) == (
+        2, "", "error: the carrier of (T b -> T b) -> b has about 2^256 "
+               "elements, more than the limit of 1024\n")
+
+
 # ------------------------------------------------------------ poset-lift
 
 def test_poset_lift_both_systems(capsys, j):

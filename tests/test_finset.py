@@ -4,7 +4,8 @@ import random
 import pytest
 
 from monarel import (FinSet, Rel, UNIT, UNIT_ATOM, atom_key, atom_str,
-                     powerset_monad, subsets)
+                     powerset_monad, random_dist, subsets)
+from monarel.dist import MODES
 
 
 def test_finset_dedupe_is_an_error():
@@ -38,6 +39,20 @@ def test_atom_key_rejects_non_atoms():
         atom_key(3)
     with pytest.raises(TypeError):
         atom_key(("a", "b", "c"))
+
+
+def test_distribution_key_is_built_from_its_weights():
+    # the key read off the numerators is the one the Fraction weights give
+    rng = random.Random(23)
+    flat = {random_dist(rng, "abcd", mode)
+            for mode in MODES for _ in range(40)}
+    nested = {random_dist(rng, sorted(flat, key=atom_key)[i::5], mode)
+              for mode in MODES for i in range(5) for _ in range(8)}
+    paired = {random_dist(rng, [(d, "x") for d in nested][:6], mode)
+              for mode in MODES for _ in range(8)}
+    for d in flat | nested | paired:
+        assert atom_key(d) == ("d", d.mode, tuple(sorted(
+            (atom_key(x), w) for x, w in d.weights.items())))
 
 
 def test_atom_str_forms():

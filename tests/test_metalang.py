@@ -6,18 +6,25 @@ import pytest
 
 import oracles
 from monarel import (FinSet, LawReport, Model, ParseError, Rel,
-                     TypecheckError, basic_lemma_check, denote, dist_monad,
-                     eval_term,
+                     TypecheckError, atom_key, basic_lemma_check, denote,
+                     dist_monad, eval_term,
                      logical_relation, nonempty_powerset_monad, parse,
                      parse_ty, powerset_monad, synthesize,
                      term_str, typecheck, upper_monad)
 from monarel.metalang import (MAX_CARRIER, Abs, App, Arrow, Base, Fst, Let,
                               PairTm, Prod, Snd, TTy, Tm, UnitTm, UnitTy, Val,
-                              Var)
+                              Var, _relates)
 
 B = FinSet(["a0", "a1"])
 MODEL = Model(powerset_monad(), {"b": B})
 DIAG = Rel(B, B, [(x, x) for x in B])
+
+
+def lossy_powerset():
+    """The powerset monad with a unit that loses a1."""
+    lossy = copy.copy(powerset_monad())
+    lossy._unit = lambda x: frozenset() if x == "a1" else frozenset([x])
+    return lossy
 
 
 def term_size(t) -> int:
@@ -248,6 +255,61 @@ def test_beta_law_for_let_over_generated_bodies():
             assert lhs == rhs, term_str(t)
 
 
+def _redexes(ctx, t):
+    """(context, r) for every subterm r = App(Abs, a) of t, with the
+    typing context that r sees."""
+    if isinstance(t, App) and isinstance(t.fn, Abs):
+        yield ctx, t
+    if isinstance(t, Abs):
+        yield from _redexes({**ctx, t.var: t.ty}, t.body)
+    elif isinstance(t, Let):
+        yield from _redexes(ctx, t.rhs)
+        yield from _redexes({**ctx, t.var: typecheck(ctx, t.rhs).arg}, t.body)
+    else:
+        for v in vars(t).values():
+            if isinstance(v, Tm):
+                yield from _redexes(ctx, v)
+
+
+@pytest.mark.parametrize("monad", [powerset_monad, lossy_powerset])
+def test_an_applied_lambda_is_its_graph_at_the_argument(monad):
+    # criterion 4's context and types; every environment of each redex
+    model = Model(monad(), {"b": B})
+    rng = random.Random(19)
+    ctx = {"x": Base("b"), "m": TTy(Base("b"))}
+    types = [TTy(Base("b")), Arrow(Base("b"), TTy(Base("b"))),
+             TTy(Prod(Base("b"), UnitTy())),
+             Arrow(TTy(Base("b")), TTy(Base("b")))]
+    made = checked = 0
+    while made < 300:
+        t = synthesize(rng, ctx, types[made % len(types)], 8)
+        if t is None:
+            continue
+        made += 1
+        for scope, r in _redexes(ctx, t):
+            names = sorted(scope)
+            for vals in itertools.product(*(denote(model, scope[x])
+                                            for x in names)):
+                env = dict(zip(names, vals))
+                graph = dict(eval_term(model, env, r.fn))
+                assert eval_term(model, env, r) == \
+                    graph[eval_term(model, env, r.arg)], term_str(r)
+                checked += 1
+    assert checked > 200  # 256 at this seed
+
+
+def test_an_argument_outside_the_domain_is_refused():
+    # a unit that leaves the carrier of T b
+    stray = copy.copy(powerset_monad())
+    stray._unit = lambda x: frozenset(["stray"])
+    model = Model(stray, {"b": B})
+    ident = frozenset((v, v) for v in denote(model, TTy(Base("b"))))
+    for src in ("(\\y:T b. y) (val x)", "f (val x)"):
+        with pytest.raises(ValueError, match=r"^application outside the "
+                           r"function's domain: frozenset\(\{'stray'\}\)$"):
+            eval_term(model, {"x": "a0", "f": ident}, parse(src))
+
+
 # ------------------------------------------------------ logical relation
 
 def test_logical_relation_base_clause_is_the_given_rel():
@@ -306,6 +368,70 @@ def test_arrow_clause_matches_the_triple_loop(monad, right):
                     fs1, fs2, rd, rc), (src, picked)
                 # the related graphs are model2's own, not rebuilt copies
                 assert all(id(g) in graphs2 for _, g in got.pairs)
+
+
+# b * b and b -> Unit * b make both factors of a product matter
+PREDICATE_TYPES = ["b", "Unit", "b * Unit", "T b", "T (b * Unit)", "b -> T b",
+                   "T b -> T b", "(b -> b) -> b", "b -> b -> b", "b * b",
+                   "b -> Unit * b"]
+
+
+def _model_pairs(monad1, monad2):
+    """The diagonal on {a0,a1}, then all 16 relations to {z0,z1}."""
+    left, right = FinSet(["a0", "a1"]), FinSet(["z0", "z1"])
+    m1 = Model(monad1, {"b": left})
+    m2 = Model(monad2, {"b": right})
+    yield m1, m1, {"b": Rel.diagonal(left)}
+    cells = list(itertools.product(left, right))
+    for k in range(len(cells) + 1):
+        for picked in itertools.combinations(cells, k):
+            yield m1, m2, {"b": Rel(left, right, picked)}
+
+
+def _stray(graph, cod):
+    """Graphs outside every carrier of their arrow type: one point more,
+    and one point less."""
+    return (graph | {("stray", next(iter(cod)))},
+            graph - {min(graph, key=atom_key)})
+
+
+@pytest.mark.parametrize("monads", [
+    (powerset_monad, powerset_monad),
+    (nonempty_powerset_monad, nonempty_powerset_monad),
+    (lossy_powerset, powerset_monad),
+], ids=["powerset", "nonempty-powerset", "lossy"])
+def test_relates_is_membership_in_the_logical_relation(monads):
+    for m1, m2, base in _model_pairs(*(m() for m in monads)):
+        for src in PREDICATE_TYPES:
+            ty = parse_ty(src)
+            related = _relates(m1, m2, base, ty)
+            rel = logical_relation(m1, m2, base, ty)
+            vs1, vs2 = denote(m1, ty), denote(m2, ty)
+            accepted = {(v1, v2) for v1 in vs1 for v2 in vs2
+                        if related(v1, v2)}
+            assert accepted == rel.pairs, (src, base)
+            if not isinstance(ty, Arrow):
+                continue
+            assert accepted == oracles.arrow_relation_pairs(
+                vs1, vs2, logical_relation(m1, m2, base, ty.dom),
+                logical_relation(m1, m2, base, ty.cod)), (src, base)
+            for f, g in list(rel)[:4]:
+                for f2 in _stray(f, denote(m1, ty.cod)):
+                    assert not related(f2, g), (src, f2, g)
+                for g2 in _stray(g, denote(m2, ty.cod)):
+                    assert not related(f, g2), (src, f, g2)
+
+
+def test_relates_refuses_what_logical_relation_refuses():
+    full = {"b": Rel(B, B, itertools.product(B, B))}
+    for src in ("T (b * b) -> b", "b -> T (b * b)", "b * T (b * b)",
+                "(T (b -> b) -> b) -> b", "b -> c"):
+        ty = parse_ty(src)
+        with pytest.raises(ValueError) as want:
+            logical_relation(MODEL, MODEL, full, ty)
+        with pytest.raises(ValueError) as got:
+            _relates(MODEL, MODEL, full, ty)
+        assert str(got.value) == str(want.value), src
 
 
 def test_logical_relation_computation_clause_is_the_lifted_relation():
