@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .finset import FinSet, Rel
+from .finset import FinSet, Rel, refuse_first
 from .lawcheck import LawReport
 from .lifting import CouplingResult, class_sides
 from .monads import RatDist, dist_monad, powerset_monad
@@ -35,9 +35,9 @@ class TransitionSystem:
             if l not in self.labels:
                 raise ValueError(f"unknown label {l!r}")
             # a distribution's successors are its support
-            for s2 in value.nums if isinstance(value, RatDist) else value:
-                if s2 not in self.states:
-                    raise ValueError(f"successor {s2!r} outside the carrier")
+            succs = value.nums if isinstance(value, RatDist) else value
+            refuse_first([s2 for s2 in succs if s2 not in self.states],
+                         lambda s2: f"successor {s2!r} outside the carrier")
         if absent is None:
             for s, l in product(self.states, self.labels):
                 if (s, l) not in step:
@@ -171,14 +171,13 @@ def larsen_skou_check(f1: TransitionSystem, f2: TransitionSystem,
     if f1.mode != f2.mode:
         raise ValueError(f"mode mismatch: {f1.mode} vs {f2.mode}")
     atoms = tagged_states(f1, f2)
-    seen = set()
+    seen, twice = set(), set()
     for cls in classes:
         if not cls:
             raise ValueError("empty equivalence class")
-        for x in cls:
-            if x in seen:
-                raise ValueError(f"classes overlap at {x!r}")
-            seen.add(x)
+        twice |= seen.intersection(cls)
+        seen.update(cls)
+    refuse_first(twice, lambda x: f"classes overlap at {x!r}")
     if seen != atoms:
         raise ValueError("classes do not partition the combined state space")
 

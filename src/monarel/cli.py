@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -17,7 +18,7 @@ import sys
 from . import jsonio
 from .bisim import check_bisimulation, largest_bisimulation, larsen_skou_check
 from .finset import Rel, atom_str
-from .lawcheck import check_cartesian, standard_battery
+from .lawcheck import check_cartesian, run_cases, standard_battery
 from .lifting import lift_member_dist_saturated
 from .metalang import (TTy, Var, basic_lemma_check, logical_relation, parse,
                        parse_ty, synthesize, term_str, type_pool,
@@ -354,35 +355,33 @@ def cmd_basic_lemma(args):
     rng = random.Random(args.seed)
     types = type_pool(ctx, parse_ty("Unit"))
     types = types + [TTy(s) for s in types if not isinstance(s, TTy)]
-    checked = 0
-    failures = []
-    while checked < args.count:
-        ty = rng.choice(types)
-        t = synthesize(rng, ctx, ty, args.max_size)
-        if t is None:
-            continue
-        rep = _checked(basic_lemma_check, m1, m2, base, ctx, t)
-        checked += 1
-        if not rep.ok:
-            failures.append((t, rep))
-            break
-    ok = not failures
+
+    def cases():
+        # one case per generated term; a draw that yields none is skipped
+        draws = (synthesize(rng, ctx, rng.choice(types), args.max_size)
+                 for _ in itertools.count())
+        terms = (t for t in draws if t is not None)
+        for t in itertools.islice(terms, args.count):
+            rep = _checked(basic_lemma_check, m1, m2, base, ctx, t)
+            yield "basic-lemma", t, rep, rep if rep.ok else "member"
+
+    suite = run_cases("basic-lemma", cases(), args.seed)
+    failure = suite.counterexample
     if args.json:
         _emit({
-            "seed": args.seed, "count": checked, "ok": ok,
-            "failure": None if ok else {
-                "term": term_str(failures[0][0]),
-                "report": jsonio.report_json(failures[0][1]),
+            "seed": args.seed, "count": suite.cases, "ok": suite.ok,
+            "failure": None if suite.ok else {
+                "term": term_str(failure["input"]),
+                "report": jsonio.report_json(failure["lhs"]),
             },
         })
+    elif suite.ok:
+        print(f"{suite.cases} generated terms (size <= {args.max_size}, "
+              f"seed {args.seed}): all related")
     else:
-        if ok:
-            print(f"{checked} generated terms (size <= {args.max_size}, "
-                  f"seed {args.seed}): all related")
-        else:
-            t, rep = failures[0]
-            print(f"term {term_str(t)} NOT related: {_show(rep.counterexample)}")
-    return 0 if ok else 1
+        print(f"term {term_str(failure['input'])} NOT related: "
+              f"{_show(failure['lhs'].counterexample)}")
+    return 0 if suite.ok else 1
 
 
 def cmd_poset_lift(args):

@@ -34,6 +34,14 @@ def atom_key(a):
     raise TypeError(f"not an atom: {a!r}")
 
 
+def refuse_first(offenders, message):
+    """Raise ValueError(message(x)) for the first x of offenders in
+    atom_key order, if there is one: a refusal names the same offender
+    whatever order the hash seed gives the set it found them in."""
+    if offenders:
+        raise ValueError(message(min(offenders, key=atom_key)))
+
+
 def atom_str(a) -> str:
     """Display form: pairs as "(a,b)", finite sets as sorted "{a,b}",
     distributions as "{a:1/2,b:1/2}"."""
@@ -110,9 +118,9 @@ class Rel:
         if not isinstance(right, FinSet):
             right = FinSet(right)
         pairs = frozenset(tuple(p) for p in pairs)
-        for x, y in pairs:
-            if x not in left or y not in right:
-                raise ValueError(f"pair ({atom_str(x)},{atom_str(y)}) outside the carriers")
+        refuse_first([(x, y) for x, y in pairs if x not in left or y not in right],
+                     lambda p: f"pair ({atom_str(p[0])},{atom_str(p[1])}) "
+                               "outside the carriers")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "pairs", pairs)
@@ -174,7 +182,8 @@ UNIT = FinSet([UNIT_ATOM])
 
 
 def subsets(xs):
-    """All subsets of xs as frozensets, in canonical order."""
+    """All subsets of xs as frozensets: by size, then lexicographically in
+    atom_key order ({}, {a}, {b}, {c}, {a,b}, ...), not in FinSet's order."""
     xs = sorted(xs, key=atom_key)
     for r in range(len(xs) + 1):
         for combo in itertools.combinations(xs, r):

@@ -219,12 +219,8 @@ def saturate(s: Rel):
     for node in parent:
         groups.setdefault(find(node), set()).add(node)
     classes = [frozenset(g) for g in groups.values()]
-    sat = {
-        (a, b)
-        for a in s.left
-        for b in s.right
-        if find(("L", a)) == find(("R", b))
-    }
+    sat = {(a, b) for left, right in map(class_sides, classes)
+           for a in left for b in right}
     return classes, Rel(s.left, s.right, sat)
 
 
@@ -270,15 +266,15 @@ def converse_coupling(nu1: RatDist, nu2: RatDist, s: Rel) -> RatDist:
     return RatDist(weights, nu1.mode)
 
 
-def _sample_couplings(t: MonadInstance, rng, s: Rel, samples: int):
-    """Seeded distributions over the pairs of S (members by construction)."""
+def _sample_related(t: MonadInstance, rng, s: Rel, samples: int):
+    """Seeded related pairs: the marginals of random couplings inside S."""
     pairs = list(s)
-    if not pairs:
-        if t.mode == "subprobability":
-            yield RatDist({}, t.mode)
-        return
-    for _ in range(samples):
-        yield random_dist(rng, pairs, t.mode)
+    if pairs:
+        nus = (random_dist(rng, pairs, t.mode) for _ in range(samples))
+    else:  # only the zero subdistribution lives over no pairs
+        nus = [RatDist({}, t.mode)] if t.mode == "subprobability" else []
+    for nu in nus:
+        yield product_delta(t, nu, s.left, s.right)
 
 
 def lifted_unit_check(t: MonadInstance, s: Rel) -> LawReport:
@@ -324,8 +320,7 @@ def lifted_mult_check(t: MonadInstance, s: Rel, *, samples: int = 100,
 
     def sampled():
         for _ in range(samples):
-            members = [product_delta(t, nu, s.left, s.right)
-                       for nu in _sample_couplings(t, rng, s, rng.randint(1, 3))]
+            members = list(_sample_related(t, rng, s, rng.randint(1, 3)))
             if not members:
                 return
             xi = product_delta(t, random_dist(rng, members, t.mode))
@@ -341,11 +336,8 @@ def lifted_strength_check(t: MonadInstance, s: Rel, s2: Rel, *,
     the lifted product relation."""
     rng = random.Random(seed)
     sp = s.product(s2)
-    if t.enumerable:
-        related = list(t.lift(s2))
-    else:
-        related = [product_delta(t, nu, s2.left, s2.right)
-                   for nu in _sample_couplings(t, rng, s2, samples)]
+    related = list(t.lift(s2) if t.enumerable
+                   else _sample_related(t, rng, s2, samples))
 
     def cases():
         for a, b in s:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finset import FinSet, product_set, sorted_pairs, subsets
+from .finset import FinSet, product_set, refuse_first, sorted_pairs, subsets
 from .lawcheck import product_delta
 from .monads import MonadInstance
 
@@ -205,21 +205,21 @@ class OrderedRel:
     def __init__(self, left: FinPoset, right: FinPoset, pairs, order=None):
         self.left = left
         self.right = right
-        pairs = frozenset(pairs)
-        for a, b in pairs:
-            if a not in left or b not in right:
-                raise ValueError(f"pair ({a!r},{b!r}) outside the carriers")
-        self.pairs = pairs
-        if order is None:
-            order = {
-                (p, q) for p in pairs for q in pairs
-                if left.le(p[0], q[0]) and right.le(p[1], q[1])
-            }
+        self.pairs = pairs = frozenset(pairs)
+        refuse_first([(a, b) for a, b in pairs if a not in left or b not in right],
+                     lambda p: f"pair ({p[0]!r},{p[1]!r}) outside the carriers")
+
+        def below(p, q):
+            return left.le(p[0], q[0]) and right.le(p[1], q[1])
+
+        if order is None:  # the product order on the pairs, below it already
+            order, given = [(p, q) for p in pairs for q in pairs if below(p, q)], ()
+        else:  # the product order is reflexive and transitive: check the given pairs
+            order = given = list(order)
         self._poset = FinPoset(FinSet(pairs), order)
-        for p, q in self._poset.pairs:
-            if not (left.le(p[0], q[0]) and right.le(p[1], q[1])):
-                raise ValueError(
-                    f"order pair {p!r} <= {q!r} is not below the product order")
+        refuse_first([(p, q) for p, q in given if not below(p, q)],
+                     lambda pq: f"order pair {pq[0]!r} <= {pq[1]!r} is not "
+                                "below the product order")
 
     @property
     def order(self) -> frozenset:
@@ -261,10 +261,10 @@ def factorize_ord(phi, dom: FinPoset, left: FinPoset, right: FinPoset,
         if a not in left or b not in right:
             raise ValueError(f"image of {x!r} outside the codomain")
     pushed = {(phi[x], phi[y]) for x, y in dom.pairs}
-    for u, v in pushed:
-        if not (left.le(u[0], v[0]) and right.le(u[1], v[1])):
-            raise ValueError(
-                f"not monotone: {u!r} is not below {v!r} in the product")
+    refuse_first([(u, v) for u, v in pushed
+                  if not (left.le(u[0], v[0]) and right.le(u[1], v[1]))],
+                 lambda uv: f"not monotone: {uv[0]!r} is not below {uv[1]!r} "
+                            "in the product")
     image = {phi[x] for x in dom}
     return OrderedRel(left, right, image,
                       None if system == "epi-regmono" else pushed)

@@ -995,6 +995,57 @@ def test_help_via_subprocess():
     assert "state|label" in out.stdout
 
 
+ONE_STEP = {"states": ["s"], "labels": ["l"],
+            "step": {"s|l": ["p", "q", "r", "t"]}}
+STILL_PLTS = {"states": ["s", "t"], "labels": ["l"],
+              "step": {"s|l": {"s": "1"}, "t|l": {"t": "1"}}}
+ABC, XYZ = ({"carrier": list(c)} for c in ("abc", "xyz"))
+
+# each request has several offenders; its refusal names the first in
+# atom_key order, whatever order the hash seed gives the frozen sets
+SEVERAL_OFFENDERS = {
+    "lift": (["lift", "--monad", "powerset"], {"--S": {
+        "left": ["1"], "right": ["a"],
+        "pairs": [["1", "q"], ["2", "a"], ["3", "z"]]}},
+        "pair (1,q) outside the carriers"),
+    "bisim": (["bisim"], {"--sys1": ONE_STEP, "--sys2": ONE_STEP},
+              "successor 'p' outside the carrier"),
+    "larsen-skou": (["larsen-skou"], {
+        "--sys1": STILL_PLTS, "--sys2": STILL_PLTS,
+        "--classes": [["L:s", "L:t", "R:s", "R:t"], ["L:s", "L:t", "R:s"]]},
+        "classes overlap at ('L', 's')"),
+    "poset-lift pairs": (["poset-lift"], {"--rel": {
+        "left": {"carrier": ["a"]}, "right": {"carrier": ["x"]},
+        "pairs": [["a", "q"], ["b", "x"], ["c", "y"]]}},
+        "pair ('a','q') outside the carriers"),
+    "poset-lift order": (["poset-lift"], {"--rel": {
+        "left": ABC, "right": XYZ,
+        "pairs": [["a", "x"], ["b", "y"], ["c", "z"]],
+        "order": [[["a", "x"], ["b", "y"]], [["c", "z"], ["a", "x"]]]}},
+        "order pair ('a', 'x') <= ('b', 'y') is not below the product order"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_OFFENDERS))
+def test_a_refusal_names_the_same_offender_under_every_hash_seed(name,
+                                                                 tmp_path):
+    argv, files, message = SEVERAL_OFFENDERS[name]
+    for flag, obj in files.items():
+        path = tmp_path / (flag.strip("-") + ".json")
+        path.write_text(json.dumps(obj))
+        argv = [*argv, flag, str(path)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        got = subprocess.run([sys.executable, "-m", "monarel.cli", *argv],
+                             capture_output=True, text=True, env=env,
+                             timeout=5)
+        assert (seed, got.returncode, got.stdout) == (seed, 2, "")
+        # one line, naming the expected offender
+        assert got.stderr.count("\n") == 1, (seed, got.stderr)
+        assert got.stderr.endswith(f": {message}\n"), (seed, got.stderr)
+
+
 def _captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

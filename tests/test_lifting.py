@@ -448,10 +448,16 @@ def test_saturate_lists_classes_as_the_keyed_union_find_did():
     rng = random.Random(22)
     left = FinSet(["2", "1", "3", ("1", "2")])
     right = FinSet(["b", "a", frozenset({"a"})])
+    wide = 0
     for _ in range(80):
         s = Rel(left, right, [(a, b) for a in left for b in right
                               if rng.random() < 0.25])
-        assert saturate(s) == oracles.keyed_saturate(s)
+        classes, closure = saturate(s)
+        assert (classes, closure) == oracles.keyed_saturate(s)
+        wide += any(min(map(len, class_sides(c))) > 1 for c in classes)
+    # saturated pairs are read off the classes: draw classes with several
+    # atoms on both sides, not only single pairs
+    assert wide > 20
 
 
 def test_saturated_membership_requires_saturation():

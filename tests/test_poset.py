@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monarel
 import oracles
 from monarel import (FinPoset, OrderedRel, Rel, SYSTEMS, chain, discrete,
                      factorize_ord, lift_enumerate, lift_relation_ord,
@@ -270,6 +274,23 @@ def test_factorize_requires_monotonicity():
         assert r.pairs == {("0", "*"), ("1", "*")}
 
 
+def test_not_monotone_names_the_first_pushed_pair_under_every_hash_seed():
+    # all three pushed pairs fail; the least in atom_key order is named
+    script = (
+        "from monarel import chain, discrete, factorize_ord\n"
+        "phi = {'a': ('q', 'y'), 'b': ('p', 'x'), 'c': ('r', 'z')}\n"
+        "factorize_ord(phi, chain('abc'), discrete('pqr'), discrete('xyz'),"
+        " 'epi-regmono')\n")
+    src = os.path.dirname(os.path.dirname(monarel.__file__))
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        got = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=5)
+        assert got.stderr.endswith(
+            "ValueError: not monotone: ('p', 'x') is not below ('r', 'z') "
+            "in the product\n"), (seed, got.stderr)
+
+
 def test_factorize_requires_totality_and_codomain():
     c = chain(["0", "1"])
     for sysname in SYSTEMS:
@@ -296,6 +317,49 @@ def test_ordered_rel_rejects_orders_beyond_the_product():
     with pytest.raises(ValueError):
         OrderedRel(d, d, [("a", "a"), ("b", "b")],
                    order=[(("a", "a"), ("b", "b"))])
+
+
+def test_ordered_rel_checks_its_order_as_the_closure_oracle_does():
+    # OrderedRel checks the pairs it is given; the oracle checks every
+    # pair of their closure against the product order
+    rng = random.Random(20)
+    grown = refused = refused_late = 0
+    for _ in range(300):
+        p, q = (FinPoset(atoms, [(a, b) for i, a in enumerate(atoms)
+                                 for b in atoms[i + 1:] if rng.random() < 0.4])
+                for atoms in (["a", "b", "c"], ["x", "y", "z"]))
+        pairs = [(a, b) for a in p for b in q if rng.random() < 0.5]
+        rng.shuffle(pairs)
+        # generators that go up the shuffled order keep the closure acyclic
+        order = [(u, v) for i, u in enumerate(pairs) for v in pairs[i + 1:]
+                 if rng.random() < 0.3]
+        rng.shuffle(order)
+        closure = oracles.brute_closure(pairs, order)
+        below = [p.le(u[0], v[0]) and q.le(u[1], v[1]) for u, v in closure]
+        grown += len(closure) > len(pairs) + len(order)
+        if all(below):
+            assert OrderedRel(p, q, pairs, order).order == closure
+            continue
+        refused += 1
+        refused_late += p.le(order[0][0][0], order[0][1][0]) and \
+            q.le(order[0][0][1], order[0][1][1])
+        with pytest.raises(ValueError, match="not below the product order"):
+            OrderedRel(p, q, pairs, order)
+    # closures that add pairs, and refusals whose first given pair is fine
+    assert min(grown, refused, refused_late, 300 - refused) > 20
+
+
+def test_ordered_rel_default_is_the_full_product_restriction():
+    rng = random.Random(21)
+    for _ in range(100):
+        p, q = (FinPoset(atoms, [(a, b) for i, a in enumerate(atoms)
+                                 for b in atoms[i + 1:] if rng.random() < 0.4])
+                for atoms in (["a", "b", "c"], ["x", "y"]))
+        pairs = [(a, b) for a in p for b in q if rng.random() < 0.5]
+        full = [(u, v) for u in pairs for v in pairs
+                if p.le(u[0], v[0]) and q.le(u[1], v[1])]
+        assert OrderedRel(p, q, pairs) == OrderedRel(p, q, pairs, full)
+        assert OrderedRel(p, q, pairs).order == frozenset(full)
 
 
 def test_ordered_rel_accepts_coarser_suborders():
