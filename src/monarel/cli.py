@@ -20,9 +20,9 @@ from .bisim import check_bisimulation, largest_bisimulation, larsen_skou_check
 from .finset import Rel, atom_str
 from .lawcheck import check_cartesian, run_cases, standard_battery
 from .lifting import lift_member_dist_saturated
-from .metalang import (TTy, Var, basic_lemma_check, logical_relation, parse,
-                       parse_ty, synthesize, term_str, type_pool,
-                       typecheck, within_limit)
+from .metalang import (Base, TTy, UnitTy, Var, basic_lemma_check,
+                       logical_relation, parse, parse_ty, synthesize,
+                       term_str, type_pool, typecheck, within_limit)
 from .poset import ORD, SYSTEMS, lift_relation_ord
 
 
@@ -56,17 +56,14 @@ def _read(path):
         raise _Usage(f"{path}: {e}")
 
 
-def _read_json(path):
+def _load(path, loader):
     try:
-        return json.loads(_read(path))
+        obj = json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise _Usage(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
     except RecursionError:
         raise _Usage(f"{path}: nested too deeply")
-
-
-def _load(path, loader):
-    return _checked(loader, _read_json(path), where=path)
+    return _checked(loader, obj, where=path)
 
 
 def _emit(payload):
@@ -79,8 +76,11 @@ def _print_pairs(pairs):
 
 
 def _monad(args):
-    return _checked(jsonio.monad_by_name, args.monad,
-                    getattr(args, "mode", "probability"))
+    t = _checked(jsonio.monad_by_name, args.monad,
+                 getattr(args, "mode", "probability"))
+    if t.category is ORD and args.command != "check-laws":
+        raise _Usage("use 'poset-lift' for the ordered monad")
+    return t
 
 
 # ------------------------------------------------------------- commands
@@ -135,8 +135,6 @@ def cmd_lift(args):
     if not t.enumerable:
         raise _Usage(f"monad {t.name} is not enumerable; "
                      "use 'member' for pointwise queries")
-    if t.category is ORD:
-        raise _Usage("use 'poset-lift' for the ordered monad")
     s = _load(args.S, jsonio.load_rel)
     _checked(within_limit, f"T S over {len(s.pairs)} pairs",
              t.size(len(s.pairs)), MAX_LIFT, where=args.S)
@@ -160,8 +158,6 @@ def _load_dist(path, mode):
 
 def cmd_member(args):
     t = _monad(args)
-    if t.category is ORD:
-        raise _Usage("use 'poset-lift' for the ordered monad")
     if args.saturated and t.enumerable:
         raise _Usage(f"--saturated applies to dist, not {t.name}")
     s = _load(args.S, jsonio.load_rel)
@@ -278,15 +274,13 @@ def _models_and_base(args):
     m1 = _load(args.model1, jsonio.load_model)
     m2 = _load(args.model2, jsonio.load_model)
     if args.base:
-        base = _load(args.base, jsonio.load_base_rels)
-    else:
-        base = {}
-        for name, a in m1.base.items():
-            if name not in m2.base or m2.base[name] != a:
-                raise _Usage(
-                    f"base type {name!r} differs between the models; "
-                    "pass --base with explicit relations")
-            base[name] = Rel.diagonal(a)
+        return m1, m2, _load(args.base, jsonio.load_base_rels)
+    base = {}
+    for name, a in m1.base.items():
+        if name not in m2.base or m2.base[name] != a:
+            raise _Usage(f"base type {name!r} differs between the models; "
+                         "pass --base with explicit relations")
+        base[name] = Rel.diagonal(a)
     return m1, m2, base
 
 
@@ -350,10 +344,10 @@ def cmd_basic_lemma(args):
     if not ctx:
         if not m1.base:
             raise _Usage("generated terms need --ctx or a base type")
-        name = sorted(m1.base)[0]
-        ctx = _parse_ctx(f"x:{name}, m:T {name}")
+        b = Base(sorted(m1.base)[0])
+        ctx = {"x": b, "m": TTy(b)}
     rng = random.Random(args.seed)
-    types = type_pool(ctx, parse_ty("Unit"))
+    types = type_pool(ctx, UnitTy())
     types = types + [TTy(s) for s in types if not isinstance(s, TTy)]
 
     def cases():
@@ -392,24 +386,23 @@ def cmd_poset_lift(args):
         _checked(within_limit, what, n, MAX_POSET_LIFT, where=args.rel)
     systems = SYSTEMS if args.system == "both" else [args.system]
     results = {name: lift_relation_ord(s, name) for name in systems}
+    same = {}
+    if len(results) == 2:
+        a, b = results.values()
+        same = {"same_pairs": a.pairs == b.pairs,
+                "same_order": a.order == b.order}
     if args.json:
         memo = {}
-        payload = {name: jsonio.ordered_rel_json(r, memo)
-                   for name, r in results.items()}
-        if len(results) == 2:
-            a, b = results.values()
-            payload["same_pairs"] = a.pairs == b.pairs
-            payload["same_order"] = a.order == b.order
-        _emit(payload)
+        _emit({**{name: jsonio.ordered_rel_json(r, memo)
+                  for name, r in results.items()}, **same})
     else:
         for name, r in results.items():
             print(f"[{name}] {len(r.pairs)} pairs, "
                   f"{sum(1 for p, q in r.order if p != q)} strict order pairs")
             _print_pairs(r.as_poset().carrier)
-        if len(results) == 2:
-            a, b = results.values()
-            print(f"pair sets {'agree' if a.pairs == b.pairs else 'DIFFER'}; "
-                  f"orderings {'agree' if a.order == b.order else 'differ'}")
+        if same:
+            print(f"pair sets {'agree' if same['same_pairs'] else 'DIFFER'}; "
+                  f"orderings {'agree' if same['same_order'] else 'differ'}")
     return 0
 
 
@@ -451,14 +444,29 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seeded=True):
+    relation_help = {
+        "rel": "relation JSON (default: diagonal)",
+        "labels": "label relation (default: diagonal)",
+        "base": "base relations JSON (default: diagonals)"}
+
+    def subcommand(name, blurb, stem=None, *relations, seeded=False):
+        # with a stem, the two input files --{stem}1 and --{stem}2 come
+        # first, then the optional relation files named in relations
+        sp = sub.add_parser(name, help=blurb)
+        if stem:
+            sp.add_argument(f"--{stem}1", required=True)
+            sp.add_argument(f"--{stem}2", required=True)
+        for flag in relations:
+            sp.add_argument(f"--{flag}", help=relation_help[flag])
         sp.add_argument("--json", action="store_true",
                         help="emit a structured JSON report")
         if seeded:
             sp.add_argument("--seed", type=int, default=0,
                             help="seed for randomized suites")
+        return sp
 
-    sp = sub.add_parser("check-laws", help="run the equational law battery")
+    sp = subcommand("check-laws", "run the equational law battery",
+                    seeded=True)
     sp.add_argument("--monad", required=True,
                     help="powerset | nonempty-powerset | dist | upper")
     sp.add_argument("--mode", default="probability",
@@ -467,14 +475,12 @@ def _build_parser():
                     help="largest carrier in the test grid")
     sp.add_argument("--samples", type=int, default=200,
                     help="sample count for non-enumerable checks")
-    common(sp)
 
-    sp = sub.add_parser("lift", help="materialize a lifted relation")
+    sp = subcommand("lift", "materialize a lifted relation")
     sp.add_argument("--monad", required=True)
     sp.add_argument("--S", required=True, help="relation JSON file")
-    common(sp, seeded=False)
 
-    sp = sub.add_parser("member", help="decide lifted-relation membership")
+    sp = subcommand("member", "decide lifted-relation membership")
     sp.add_argument("--monad", required=True,
                     help="powerset | nonempty-powerset | dist")
     sp.add_argument("--mode", default="probability",
@@ -488,43 +494,25 @@ def _build_parser():
     sp.add_argument("--nu2", help="right distribution (dist)")
     sp.add_argument("--saturated", action="store_true",
                     help="use the class-mass criterion (S must be saturated)")
-    common(sp, seeded=False)
 
     for name, blurb in (
             ("bisim", "check a strong bisimulation"),
             ("prob-bisim", "check a probabilistic bisimulation")):
-        sp = sub.add_parser(name, help=blurb)
-        sp.add_argument("--sys1", required=True)
-        sp.add_argument("--sys2", required=True)
-        sp.add_argument("--rel", help="relation JSON (default: diagonal)")
-        sp.add_argument("--labels", help="label relation (default: diagonal)")
-        common(sp, seeded=False)
+        subcommand(name, blurb, "sys", "rel", "labels")
 
-    sp = sub.add_parser("max-bisim", help="largest bisimulation")
-    sp.add_argument("--sys1", required=True)
-    sp.add_argument("--sys2", required=True)
-    sp.add_argument("--labels")
-    common(sp, seeded=False)
+    subcommand("max-bisim", "largest bisimulation", "sys", "labels")
 
-    sp = sub.add_parser("larsen-skou", help="class-mass bisimulation check")
-    sp.add_argument("--sys1", required=True)
-    sp.add_argument("--sys2", required=True)
+    sp = subcommand("larsen-skou", "class-mass bisimulation check", "sys")
     sp.add_argument("--classes", required=True,
                     help="partition of the tagged union, JSON")
-    common(sp, seeded=False)
 
-    sp = sub.add_parser("logrel", help="materialize a logical relation")
-    sp.add_argument("--model1", required=True)
-    sp.add_argument("--model2", required=True)
+    sp = subcommand("logrel", "materialize a logical relation",
+                    "model", "base")
     sp.add_argument("--type", required=True, help='e.g. "T (b -> b)"')
-    sp.add_argument("--base", help="base relations JSON (default: diagonals)")
-    common(sp, seeded=False)
 
-    sp = sub.add_parser("basic-lemma",
-                        help="related environments give related meanings")
-    sp.add_argument("--model1", required=True)
-    sp.add_argument("--model2", required=True)
-    sp.add_argument("--base")
+    sp = subcommand("basic-lemma",
+                    "related environments give related meanings",
+                    "model", "base", seeded=True)
     sp.add_argument("--term", help="term source file (omit to generate)")
     sp.add_argument("--ctx", default="",
                     help='typing context, e.g. "x:b, m:T b"')
@@ -532,14 +520,12 @@ def _build_parser():
                     help="generated terms to check")
     sp.add_argument("--max-size", type=int, default=8,
                     help="largest generated term")
-    common(sp)
 
-    sp = sub.add_parser("poset-lift",
-                        help="lift an ordered relation in one or both systems")
+    sp = subcommand("poset-lift",
+                    "lift an ordered relation in one or both systems")
     sp.add_argument("--rel", required=True, help="ordered relation JSON")
     sp.add_argument("--system", default="both",
                     choices=["both", *SYSTEMS])
-    common(sp, seeded=False)
 
     return p
 

@@ -25,21 +25,19 @@ from .monads import MODES, MonadInstance, RatDist, dist_monad, \
     nonempty_powerset_monad, powerset_monad
 from .poset import FinPoset, OrderedRel, upper_monad
 
-MONAD_NAMES = ("powerset", "nonempty-powerset", "dist", "upper")
+_MONADS = {"powerset": lambda mode: powerset_monad(),
+           "nonempty-powerset": lambda mode: nonempty_powerset_monad(),
+           "dist": dist_monad, "upper": lambda mode: upper_monad()}
+MONAD_NAMES = tuple(_MONADS)
 
 
 def monad_by_name(name: str, mode: str = "probability") -> MonadInstance:
-    """The named monad; a mode outside MODES is refused for every monad."""
+    """The named monad; a mode outside MODES is refused for every monad.
+    The name is tested against the tuple, so an unhashable one is refused."""
     _require(name in MONAD_NAMES,
              f"unknown monad {name!r}; pick one of {', '.join(MONAD_NAMES)}")
     _require(mode in MODES, f"unknown mode {mode!r}")
-    if name == "powerset":
-        return powerset_monad()
-    if name == "nonempty-powerset":
-        return nonempty_powerset_monad()
-    if name == "dist":
-        return dist_monad(mode)
-    return upper_monad()
+    return _MONADS[name](mode)
 
 
 def _require(cond, msg):

@@ -21,7 +21,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .dist import corner_dists, random_dist
-from .finset import UNIT_ATOM, FinSet, product_set
+from .finset import UNIT_ATOM, FinSet, atom_key, product_set
 
 if TYPE_CHECKING:
     from .monads import MonadInstance
@@ -41,12 +41,27 @@ class LawReport:
         c = self.counterexample
         if c is not None and "diagram" in c:
             out += (
-                f"\n  diagram {c['diagram']}: input {c['input']!r}"
-                f"\n  lhs {c['lhs']!r}\n  rhs {c['rhs']!r}"
+                f"\n  diagram {c['diagram']}: input {_repr(c['input'])}"
+                f"\n  lhs {_repr(c['lhs'])}\n  rhs {_repr(c['rhs'])}"
             )
         elif c is not None:  # a bisimulation's failing step
-            out += "".join(f"\n  {k} {v!r}" for k, v in c.items())
+            out += "".join(f"\n  {k} {_repr(v)}" for k, v in c.items())
         return out
+
+
+def _repr(v):
+    """repr(v), but with each frozenset's members in atom_key order, so
+    the text does not follow the hash seed."""
+    if isinstance(v, frozenset):
+        members = ", ".join(_repr(x) for x in sorted(v, key=atom_key))
+        return f"frozenset({{{members}}})" if v else "frozenset()"
+    if isinstance(v, tuple):
+        items = ", ".join(_repr(x) for x in v)
+        return f"({items},)" if len(v) == 1 else f"({items})"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{_repr(k)}: {_repr(x)}"
+                               for k, x in v.items()) + "}"
+    return repr(v)
 
 
 class SetCategory:

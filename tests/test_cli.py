@@ -17,6 +17,7 @@ from test_lawcheck import mutant_powerset
 from monarel import (ORD, Rel, chain, cli, jsonio, powerset_monad, saturate,
                      standard_battery, upper_monad)
 from monarel.cli import main
+from monarel.metalang import Base, TTy
 
 STAIR = {"left": ["1", "2"], "right": ["a", "b"],
          "pairs": [["1", "a"], ["2", "a"], ["2", "b"]]}
@@ -486,6 +487,45 @@ def test_basic_lemma_generated_mode_is_reproducible(capsys, j):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["count"] == 20
+
+
+def _base_named(name):
+    return {"monad": "powerset", "base": {name: ["a0", "a1"]}}
+
+
+@pytest.mark.parametrize("name", ["my-type", "T"])
+def test_the_default_context_takes_any_base_name(capsys, j, name):
+    # names the type parser does not read as a base type
+    got = {}
+    for n in ("b", name):
+        m = j(f"{n}.json", _base_named(n))
+        got[n] = run(capsys, "basic-lemma", "--model1", m, "--model2", m,
+                     "--count", "5", "--seed", "1", "--json")
+    assert got["b"][0] == 0 and got[name] == got["b"]
+
+
+def test_the_default_context_is_over_a_base_type_named_unit(capsys, j,
+                                                             monkeypatch):
+    seen = []
+    check = cli.basic_lemma_check
+
+    def spy(m1, m2, base, ctx, t):
+        seen.append(ctx)
+        return check(m1, m2, base, ctx, t)
+
+    monkeypatch.setattr(cli, "basic_lemma_check", spy)
+    m = j("m.json", _base_named("Unit"))
+    code, _, err = run(capsys, "basic-lemma", "--model1", m, "--model2", m,
+                       "--count", "3")
+    assert (code, err, len(seen)) == (0, "", 3)
+    assert all(ctx == {"x": Base("Unit"), "m": TTy(Base("Unit"))}
+               for ctx in seen)
+
+
+def test_generated_terms_need_a_context_or_a_base_type(capsys, j):
+    m = j("m.json", {"monad": "powerset", "base": {}})
+    assert run(capsys, "basic-lemma", "--model1", m, "--model2", m) == (
+        2, "", "error: generated terms need --ctx or a base type\n")
 
 
 def test_basic_lemma_rejects_ill_typed_term(capsys, j):
@@ -1076,6 +1116,59 @@ def test_commands_rebound_after_the_parser_is_built_are_called(
     assert _captured(lift)[0] == 0
     monkeypatch.setattr(cli, "cmd_lift", lambda args: 7)
     assert _captured(lift)[0] == 7
+
+
+# each subcommand's required options, then every option's destination
+# and default: no option is added, dropped, renamed or given a new default
+SYS = ["--sys1", "f1", "--sys2", "f2"]
+MODELS = ["--model1", "m1", "--model2", "m2"]
+OPTION_TABLE = {
+    "check-laws": (["--monad", "powerset"], {
+        "monad": "powerset", "mode": "probability", "max_size": 3,
+        "samples": 200, "json": False, "seed": 0}),
+    "lift": (["--monad", "powerset", "--S", "s"], {
+        "monad": "powerset", "S": "s", "json": False}),
+    "member": (["--monad", "dist", "--S", "s"], {
+        "monad": "dist", "mode": "probability", "S": "s", "b1": None,
+        "b2": None, "nu1": None, "nu2": None, "saturated": False,
+        "json": False}),
+    "bisim": (SYS, {"sys1": "f1", "sys2": "f2", "rel": None,
+                    "labels": None, "json": False}),
+    "prob-bisim": (SYS, {"sys1": "f1", "sys2": "f2", "rel": None,
+                         "labels": None, "json": False}),
+    "max-bisim": (SYS, {"sys1": "f1", "sys2": "f2", "labels": None,
+                        "json": False}),
+    "larsen-skou": ([*SYS, "--classes", "c"], {
+        "sys1": "f1", "sys2": "f2", "classes": "c", "json": False}),
+    "logrel": ([*MODELS, "--type", "b"], {
+        "model1": "m1", "model2": "m2", "type": "b", "base": None,
+        "json": False}),
+    "basic-lemma": (MODELS, {
+        "model1": "m1", "model2": "m2", "base": None, "term": None,
+        "ctx": "", "count": 100, "max_size": 8, "json": False, "seed": 0}),
+    "poset-lift": (["--rel", "r"], {"rel": "r", "system": "both",
+                                    "json": False}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_TABLE))
+def test_each_subcommand_takes_the_options_it_took(capsys, command):
+    required, table = OPTION_TABLE[command]
+    args = cli._build_parser().parse_args([command, *required])
+    assert vars(args) == {"command": command, **table}
+    for i in range(0, len(required), 2):
+        flag = required[i]
+        code, out, err = run(capsys, command, *required[:i],
+                             *required[i + 2:])
+        assert (code, out) == (2, "")
+        assert f"the following arguments are required: {flag}" in err
+
+
+def test_the_option_table_covers_every_subcommand():
+    # main runs cmd_<name> for the subcommand <name>
+    assert set(OPTION_TABLE) == {name[4:].replace("_", "-")
+                                 for name in vars(cli)
+                                 if name.startswith("cmd_")}
 
 
 # ----------------------------------------------------------------- fuzz

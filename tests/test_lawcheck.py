@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import monarel
 from monarel import (FinSet, MonadInstance, ORD, SET, RatDist, check_cartesian,
                      check_commutative, check_derived_strengths,
                      check_mediator_laws, check_monad_laws,
@@ -210,6 +214,46 @@ def test_a_failing_dist_check_prints_as_recorded(checker, atoms, text, payload):
     r = checker(mutant, [FinSet(atoms)], samples=16, seed=3)
     assert str(r) == text
     assert dumps(report_json(r)) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+# each prints a report whose values hold frozensets of several members
+SEEDED_REPORTS = {
+    "law": ("""\
+from monarel import LawReport
+print(LawReport("x", False, 1, {"diagram": "d",
+    "input": frozenset({"a", "b", "c"}),
+    "lhs": frozenset({("a", "b"), ("b", "c")}), "rhs": "member"}))
+""", """\
+x: FAIL (1 cases)
+  diagram d: input frozenset({'a', 'b', 'c'})
+  lhs frozenset({('a', 'b'), ('b', 'c')})
+  rhs 'member'
+"""),
+    "bisimulation": ("""\
+from monarel import LTS, FinSet, Rel, check_bisimulation
+f1 = LTS(FinSet("stuv"), FinSet(["l"]), {("s", "l"): {"t", "u", "v"}})
+f2 = LTS(FinSet("wxyz"), FinSet(["l"]), {("w", "l"): {"x", "y", "z"}})
+s = Rel(f1.states, f2.states, [("s", "w"), ("t", "x"), ("u", "y")])
+print(check_bisimulation(s, f1, f2, Rel.diagonal(f1.labels)))
+""", """\
+bisimulation: FAIL (1 cases)
+  pair ('s', 'w')
+  labels ('l', 'l')
+  succ (frozenset({'t', 'u', 'v'}), frozenset({'x', 'y', 'z'}))
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_REPORTS))
+def test_a_report_prints_one_text_under_every_hash_seed(name):
+    code, text = SEEDED_REPORTS[name]
+    src = os.path.dirname(os.path.dirname(monarel.__file__))
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        got = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=10)
+        assert (seed, got.returncode, got.stdout, got.stderr) == \
+            (seed, 0, text, "")
 
 
 def test_mutant_delta_caught_by_each_morphism_checker():

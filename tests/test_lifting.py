@@ -633,3 +633,14 @@ def test_class_sides_split_a_tagged_class():
     cls = frozenset({("L", "1"), ("R", "a"), ("L", "2")})
     assert class_sides(cls) == ({"1", "2"}, {"a"})
     assert class_sides(frozenset({("R", "b")})) == (set(), {"b"})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: lift_member_powerset({"1"}, {"z"}, S_STAIR),
+     "^second subset leaves the right carrier$"),
+    (lambda: lift_enumerate(dist_monad(), S_STAIR),
+     "^monad dist-probability is not enumerable$"),
+], ids=["member-outside-right", "enumerate-dist"])
+def test_lifting_refuses_inputs_outside_its_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

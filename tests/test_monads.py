@@ -352,3 +352,18 @@ def test_monad_instance_names():
     assert dist_monad("subprobability").name == "dist-subprobability"
     with pytest.raises(ValueError):
         dist_monad("affine")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: RatDist({"a": 1}, "probability", den=0),
+     "^denominator 0 is not positive$"),
+    (lambda: random_dist(random.Random(0), [], "probability"),
+     "^probability distribution over an empty carrier$"),
+    (lambda: dist_monad().apply(FinSet(["a"])),
+     "^monad dist-probability is not enumerable$"),
+    (lambda: dist_monad().sample(random.Random(0), FinSet(["a"])),
+     "^monad dist-probability has no value sampler$"),
+], ids=["zero-denominator", "empty-carrier", "dist-apply", "dist-sample"])
+def test_distributions_refuse_inputs_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

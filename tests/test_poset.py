@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import monarel
 import oracles
-from monarel import (FinPoset, OrderedRel, Rel, SYSTEMS, chain, discrete,
-                     factorize_ord, lift_enumerate, lift_relation_ord,
-                     nonempty_powerset_monad, ord_product, subsets,
-                     upper_monad)
+from monarel import (FinPoset, FinSet, OrderedRel, Rel, SYSTEMS, chain,
+                     discrete, factorize_ord, lift_enumerate,
+                     lift_relation_ord, nonempty_powerset_monad, ord_product,
+                     subsets, upper_monad)
 
 
 def fs(*xs):
@@ -461,3 +461,14 @@ def test_lift_rejects_an_unknown_system():
     c = chain(["0", "1"])
     with pytest.raises(ValueError, match="unknown system"):
         lift_relation_ord(OrderedRel(c, c, [("0", "0")]), "epi-mono")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: upper_monad().apply(FinSet(["a"])),
+     "^the upper-set monad lives on posets$"),
+    (lambda: upper_monad().v_mult(fs(fs(fs("a"))), None),
+     "^flattening antichains needs the base poset$"),
+], ids=["apply-on-a-set", "mult-without-poset"])
+def test_upper_monad_refuses_inputs_outside_posets(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
