@@ -448,6 +448,9 @@ def _build_parser():
         "rel": "relation JSON (default: diagonal)",
         "labels": "label relation (default: diagonal)",
         "base": "base relations JSON (default: diagonals)"}
+    # each --monad help names the monads its subcommand accepts
+    monads = {n: jsonio.monad_by_name(n) for n in jsonio.MONAD_NAMES}
+    on_sets = [n for n, t in monads.items() if t.category is not ORD]
 
     def subcommand(name, blurb, stem=None, *relations, seeded=False):
         # with a stem, the two input files --{stem}1 and --{stem}2 come
@@ -468,7 +471,7 @@ def _build_parser():
     sp = subcommand("check-laws", "run the equational law battery",
                     seeded=True)
     sp.add_argument("--monad", required=True,
-                    help="powerset | nonempty-powerset | dist | upper")
+                    help=" | ".join(monads))
     sp.add_argument("--mode", default="probability",
                     help="probability | subprobability (dist only)")
     sp.add_argument("--max-size", type=int, default=3,
@@ -477,12 +480,14 @@ def _build_parser():
                     help="sample count for non-enumerable checks")
 
     sp = subcommand("lift", "materialize a lifted relation")
-    sp.add_argument("--monad", required=True)
+    sp.add_argument("--monad", required=True,
+                    help=" | ".join(n for n in on_sets
+                                    if monads[n].enumerable))
     sp.add_argument("--S", required=True, help="relation JSON file")
 
     sp = subcommand("member", "decide lifted-relation membership")
     sp.add_argument("--monad", required=True,
-                    help="powerset | nonempty-powerset | dist")
+                    help=" | ".join(on_sets))
     sp.add_argument("--mode", default="probability",
                     help="probability | subprobability (dist only): the "
                          "mode of --nu1/--nu2 files that give none; a file "

@@ -549,9 +549,10 @@ def eval_term(model: Model, env, t: Tm):
 def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
     """The type-indexed relation between the two models' carriers.
 
-    Base types use the given relations, Unit is total, products go
-    componentwise, functions relate graphs that send related arguments
-    to related results, and T-types lift the relation through the monad.
+    Base types use the given relations, Unit is total, and T-types lift
+    the relation through the monad.  At a product or an arrow it is the
+    pairs of the two carriers that _relates accepts (componentwise, and
+    graphs that send related arguments to related results).
     """
     if model1.monad.name != model2.monad.name:
         raise ValueError(
@@ -567,14 +568,11 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
         return rel
     if isinstance(ty, UnitTy):
         return Rel(UNIT, UNIT, {(UNIT_ATOM, UNIT_ATOM)})
-    if isinstance(ty, Prod):
-        rl = logical_relation(model1, model2, base_rels, ty.left)
-        rr = logical_relation(model1, model2, base_rels, ty.right)
-        return rl.product(rr)
-    if isinstance(ty, Arrow):
-        rd = logical_relation(model1, model2, base_rels, ty.dom)
-        rc = logical_relation(model1, model2, base_rels, ty.cod)
-        return _arrow_relation(model1, model2, ty, rd, rc)
+    if isinstance(ty, (Prod, Arrow)):
+        related = _relates(model1, model2, base_rels, ty)
+        vs1, vs2 = denote(model1, ty), denote(model2, ty)
+        return Rel(vs1, vs2, [(v1, v2) for v1 in vs1 for v2 in vs2
+                              if related(v1, v2)])
     if isinstance(ty, TTy):
         inner = logical_relation(model1, model2, base_rels, ty.arg)
         denote(model1, ty)
@@ -585,53 +583,14 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
     raise ValueError(f"not a type: {ty!r}")
 
 
-def _arrow_relation(model1: Model, model2: Model, ty: Arrow, rd: Rel,
-                    rc: Rel) -> Rel:
-    """Pairs (f, g) of graphs with (f a1, g a2) in rc whenever (a1, a2) is
-    in rd.
-
-    For each f this constrains g pointwise: at a2, g may take any value
-    related by rc to every f a1 with (a1, a2) in rd.  The related g are
-    the product of those sets, looked up among model2's graphs.
-    """
-    fs1 = denote(model1, ty)
-    fs2 = denote(model2, ty)
-    dom2 = denote(model2, ty.dom)
-    cod2 = frozenset(denote(model2, ty.cod))
-    graph2 = {}
-    for g in fs2:
-        gd = dict(g)
-        graph2[tuple(gd[a2] for a2 in dom2)] = g
-    rc_right = {}
-    for c1, c2 in rc.pairs:
-        rc_right.setdefault(c1, set()).add(c2)
-    rd_left = {}
-    for a1, a2 in rd.pairs:
-        rd_left.setdefault(a2, []).append(a1)
-    pairs = set()
-    for f in fs1:
-        fd = dict(f)
-        allowed = []
-        for a2 in dom2:
-            outs = cod2
-            for a1 in rd_left.get(a2, ()):
-                outs = outs & rc_right.get(fd[a1], frozenset())
-            if not outs:
-                break
-            allowed.append(outs)
-        else:
-            pairs.update((f, graph2[outs])
-                         for outs in itertools.product(*allowed))
-    return Rel(fs1, fs2, pairs)
-
-
 def _relates(model1: Model, model2: Model, base_rels, ty: Ty):
     """A test (v1, v2) -> bool of membership in logical_relation(model1,
     model2, base_rels, ty) that does not build the relation at ty.
 
     A product tests its components, an arrow its definition over the
     domain's relation; other types build theirs.  Relations and carriers
-    come in logical_relation's order, so the refusals are the same.
+    come in logical_relation's order, so the refusals are the same, apart
+    from a product's carrier, which is neither built nor refused here.
     """
     if isinstance(ty, Prod):
         left = _relates(model1, model2, base_rels, ty.left)

@@ -600,6 +600,22 @@ def test_oversized_carriers_exit_2(capsys, j, command, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("ty", ["b * b * b * b", "T (b * b * b * b)"])
+def test_a_product_relation_is_refused_above_the_carrier_limit(capsys, j, ty):
+    # six fully related atoms: the product's carriers have 6^4 = 1296
+    # elements each, and the relation between them 1296^2 pairs
+    atoms = [f"a{i}" for i in range(6)]
+    model = j("m.json", {"monad": "powerset", "base": {"b": atoms}})
+    with deadline(5):
+        code, out, err = run(
+            capsys, "logrel", "--model1", model, "--model2", model,
+            "--base", j("base.json", {"b": full_rel(atoms, atoms)}),
+            "--type", ty)
+    assert (code, out) == (2, "")
+    assert ("error: the carrier of b * b * b * b has 1296 elements, more "
+            "than the limit of 1024") in err
+
+
 def test_an_oversized_applied_lambda_is_refused(capsys, j):
     # the argument's carrier T b -> T b has 256 graphs, but the lambda's
     # domain (T b -> T b) -> b is refused before the argument is evaluated
@@ -1169,6 +1185,19 @@ def test_the_option_table_covers_every_subcommand():
     assert set(OPTION_TABLE) == {name[4:].replace("_", "-")
                                  for name in vars(cli)
                                  if name.startswith("cmd_")}
+
+
+@pytest.mark.parametrize("name", jsonio.MONAD_NAMES)
+def test_lift_help_names_the_monads_lift_accepts(capsys, monkeypatch, j,
+                                                 name):
+    # wide enough that no monad name is wrapped at its hyphen
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = run(capsys, "lift", "--help")
+    named = code == 0 and name in out.split()
+    one_pair = j("s.json", {"left": ["1"], "right": ["a"],
+                            "pairs": [["1", "a"]]})
+    code, _, _ = run(capsys, "lift", "--monad", name, "--S", one_pair)
+    assert code == (0 if named else 2)
 
 
 # ----------------------------------------------------------------- fuzz

@@ -370,10 +370,11 @@ def test_arrow_clause_matches_the_triple_loop(monad, right):
                 assert all(id(g) in graphs2 for _, g in got.pairs)
 
 
-# b * b and b -> Unit * b make both factors of a product matter
+# b * b and b -> Unit * b make both factors of a product matter, and
+# (b -> b) * T b puts an arrow inside one
 PREDICATE_TYPES = ["b", "Unit", "b * Unit", "T b", "T (b * Unit)", "b -> T b",
                    "T b -> T b", "(b -> b) -> b", "b -> b -> b", "b * b",
-                   "b -> Unit * b"]
+                   "b -> Unit * b", "(b -> b) * T b"]
 
 
 def _model_pairs(monad1, monad2):
@@ -410,6 +411,12 @@ def test_relates_is_membership_in_the_logical_relation(monads):
             accepted = {(v1, v2) for v1 in vs1 for v2 in vs2
                         if related(v1, v2)}
             assert accepted == rel.pairs, (src, base)
+            if isinstance(ty, Prod):
+                # componentwise, from the relations at the two factors
+                rl = logical_relation(m1, m2, base, ty.left)
+                rr = logical_relation(m1, m2, base, ty.right)
+                assert accepted == {((x1, y1), (x2, y2)) for x1, x2 in rl
+                                    for y1, y2 in rr}, (src, base)
             if not isinstance(ty, Arrow):
                 continue
             assert accepted == oracles.arrow_relation_pairs(
