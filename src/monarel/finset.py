@@ -14,24 +14,37 @@ from fractions import Fraction
 from operator import itemgetter
 
 
-def atom_key(a):
+def atom_key(a, memo=None):
     """Canonical sort key inducing a total order on atoms and values.
 
     A distribution (dist.RatDist, which imports this module) is known by
-    its numerators: it sorts by its mode and its weighted support.
+    its numerators: it sorts by its mode and its weighted support.  A
+    memo dict, when given, holds the keys of the non-string values keyed
+    with it already, so a value nested many times is keyed once.
     """
     if isinstance(a, str):
         return ("s", a)
+    if memo is not None:
+        try:
+            key = memo.get(a)
+        except TypeError:  # unhashable, so no atom: fail as without a memo
+            return atom_key(a)
+        if key is not None:
+            return key
     if isinstance(a, tuple):
         if len(a) != 2:
             raise TypeError(f"pair atom must have two components: {a!r}")
-        return ("p", atom_key(a[0]), atom_key(a[1]))
-    if isinstance(a, frozenset):
-        return ("t", tuple(sorted(atom_key(x) for x in a)))
-    if hasattr(a, "nums"):
-        return ("d", a.mode, tuple(sorted(
-            (atom_key(x), Fraction(n, a.den)) for x, n in a.nums.items())))
-    raise TypeError(f"not an atom: {a!r}")
+        key = ("p", atom_key(a[0], memo), atom_key(a[1], memo))
+    elif isinstance(a, frozenset):
+        key = ("t", tuple(sorted(atom_key(x, memo) for x in a)))
+    elif hasattr(a, "nums"):
+        key = ("d", a.mode, tuple(sorted(
+            (atom_key(x, memo), Fraction(n, a.den)) for x, n in a.nums.items())))
+    else:
+        raise TypeError(f"not an atom: {a!r}")
+    if memo is not None:
+        memo[a] = key
+    return key
 
 
 def refuse_first(offenders, message):
@@ -62,7 +75,10 @@ class FinSet:
     __slots__ = ("elements", "_index")
 
     def __init__(self, elements):
-        keyed = sorted(((atom_key(a), a) for a in elements),
+        # one memo per construction: the values nested in the elements
+        # are keyed once, and their keys are dropped with the memo
+        memo = {}
+        keyed = sorted(((atom_key(a, memo), a) for a in elements),
                        key=itemgetter(0))
         for (kx, x), (ky, _) in zip(keyed, keyed[1:]):
             if kx == ky:

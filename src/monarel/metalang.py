@@ -568,11 +568,19 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
         return rel
     if isinstance(ty, UnitTy):
         return Rel(UNIT, UNIT, {(UNIT_ATOM, UNIT_ATOM)})
-    if isinstance(ty, (Prod, Arrow)):
+    if isinstance(ty, Prod):
         related = _relates(model1, model2, base_rels, ty)
         vs1, vs2 = denote(model1, ty), denote(model2, ty)
         return Rel(vs1, vs2, [(v1, v2) for v1 in vs1 for v2 in vs2
                               if related(v1, v2)])
+    if isinstance(ty, Arrow):
+        # each graph of the two carriers is read as a dict once
+        related = _graphs_related(model1, model2, base_rels, ty)
+        vs1, vs2 = denote(model1, ty), denote(model2, ty)
+        ds1 = [(f, dict(f)) for f in vs1]
+        ds2 = [(g, dict(g)) for g in vs2]
+        return Rel(vs1, vs2, [(f, g) for f, fd in ds1 for g, gd in ds2
+                              if related(fd, gd)])
     if isinstance(ty, TTy):
         inner = logical_relation(model1, model2, base_rels, ty.arg)
         denote(model1, ty)
@@ -597,18 +605,20 @@ def _relates(model1: Model, model2: Model, base_rels, ty: Ty):
         right = _relates(model1, model2, base_rels, ty.right)
         return lambda v1, v2: left(v1[0], v2[0]) and right(v1[1], v2[1])
     if isinstance(ty, Arrow):
-        rd = logical_relation(model1, model2, base_rels, ty.dom).pairs
-        cod = _relates(model1, model2, base_rels, ty.cod)
+        related = _graphs_related(model1, model2, base_rels, ty)
         fs1, fs2 = denote(model1, ty), denote(model2, ty)
-
-        def related(f, g):
-            if f not in fs1 or g not in fs2:
-                return False
-            fd, gd = dict(f), dict(g)
-            return all(cod(fd[a1], gd[a2]) for a1, a2 in rd)
-        return related
+        return lambda f, g: (f in fs1 and g in fs2
+                             and related(dict(f), dict(g)))
     pairs = logical_relation(model1, model2, base_rels, ty).pairs
     return lambda v1, v2: (v1, v2) in pairs
+
+
+def _graphs_related(model1: Model, model2: Model, base_rels, ty: Arrow):
+    """The arrow clause on graphs read as dicts: (fd, gd) -> bool, true
+    when fd and gd send every related argument pair to related results."""
+    rd = logical_relation(model1, model2, base_rels, ty.dom).pairs
+    cod = _relates(model1, model2, base_rels, ty.cod)
+    return lambda fd, gd: all(cod(fd[a1], gd[a2]) for a1, a2 in rd)
 
 
 def basic_lemma_check(model1: Model, model2: Model, base_rels, ctx,
@@ -623,7 +633,12 @@ def basic_lemma_check(model1: Model, model2: Model, base_rels, ctx,
     ty = typecheck(ctx, t)
     related = _relates(model1, model2, base_rels, ty)
     names = sorted(ctx)
-    rels = [logical_relation(model1, model2, base_rels, ctx[x]) for x in names]
+    # one relation per distinct type, built in the order of names
+    by_ty = {}
+    for x in names:
+        if ctx[x] not in by_ty:
+            by_ty[ctx[x]] = logical_relation(model1, model2, base_rels, ctx[x])
+    rels = [by_ty[ctx[x]] for x in names]
     within_limit(f"the product of the relations at {', '.join(names)}",
                  math.prod(map(len, rels)), MAX_ENV_PAIRS)
 

@@ -179,6 +179,17 @@ def product_poset_lift(s, system):
     return OrderedRel(ta1, ta2, mid.carrier, mid.pairs)
 
 
+def plain_finset_elements(elements):
+    """The elements FinSet's constructor gives without a memo: each
+    value keyed afresh by atom_key, sorted by key, and a repeated key
+    refused with the same ValueError."""
+    keyed = sorted(((atom_key(a), a) for a in elements), key=lambda p: p[0])
+    for (kx, x), (ky, _) in zip(keyed, keyed[1:]):
+        if kx == ky:
+            raise ValueError(f"duplicate atom {atom_str(x)!r}")
+    return tuple(a for _, a in keyed)
+
+
 def enumerating_lift(t):
     """A copy of the monad t without its own lift op, so t.lift, and every
     check built on it, takes the image of each value of T S through

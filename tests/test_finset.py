@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from monarel import (FinSet, Rel, UNIT, UNIT_ATOM, atom_key, atom_str,
+import oracles
+from monarel import (FinSet, Model, Rel, UNIT, UNIT_ATOM, atom_key, atom_str,
+                     denote, nonempty_powerset_monad, parse_ty, upper_monad,
                      powerset_monad, random_dist, subsets)
 from monarel.dist import MODES
 
@@ -108,3 +110,90 @@ def test_relations_iterate_in_key_order():
                               if rng.random() < 0.4])
         for r in (s, t.lift(s), Rel(right, left, {(y, x) for x, y in s})):
             assert list(r) == sorted(r.pairs, key=atom_key)
+
+
+# ------------------------------------- the constructor against its oracle
+
+@pytest.fixture
+def against_plain(monkeypatch):
+    """Checks every FinSet built during the test against
+    oracles.plain_finset_elements on the same input; yields the sizes."""
+    built = []
+    init = FinSet.__init__
+
+    def checked(self, elements):
+        elements = list(elements)
+        init(self, elements)
+        assert self.elements == oracles.plain_finset_elements(elements)
+        built.append(len(elements))
+    monkeypatch.setattr(FinSet, "__init__", checked)
+    return built
+
+
+def test_denote_carriers_match_the_plain_constructor(against_plain):
+    # criterion 4's types, and every carrier inside them
+    for atoms in (["a0", "a1"], ["z1", "z0"]):
+        model = Model(powerset_monad(), {"b": FinSet(atoms)})
+        for src in ("T b", "b -> T b", "T (b * Unit)", "T b -> T b"):
+            denote(model, parse_ty(src))
+    assert max(against_plain) == 256  # the graphs of T b -> T b
+
+
+@pytest.mark.parametrize("monad", [powerset_monad, nonempty_powerset_monad,
+                                   upper_monad])
+def test_apply_levels_match_the_plain_constructor(monad, against_plain):
+    t = monad()
+    for obj in t.category.default_sets():
+        t.apply(t.apply(obj))
+    t.apply(t.apply(t.apply(t.category.default_sets(1)[-1])))
+    assert against_plain
+
+
+def _nested_values(rng):
+    """A string, sets of pairs of sets, graphs, and distributions over
+    atoms and over distributions."""
+    atoms = ["a", "b", "c"]
+
+    def a_set():
+        return frozenset(rng.sample(atoms, rng.randint(0, 3)))
+    out = [rng.choice(atoms)]
+    out += [frozenset((a_set(), a_set()) for _ in range(rng.randint(0, 3)))
+            for _ in range(3)]
+    out += [frozenset(zip(atoms, (a_set() for _ in atoms))) for _ in range(3)]
+    flat = [random_dist(rng, atoms, rng.choice(MODES)) for _ in range(3)]
+    out += flat + [random_dist(rng, flat + [(a_set(), "x")], mode)
+                   for mode in MODES]
+    return out
+
+
+def test_nested_values_match_the_plain_constructor(against_plain):
+    rng = random.Random(29)
+    for _ in range(300):
+        values = list(dict.fromkeys(_nested_values(rng)))
+        rng.shuffle(values)
+        FinSet(values)
+        # a value equal to one already there, as a new object when it is
+        # a set, is refused by both with the same text
+        dup = rng.choice(values)
+        again = values + [frozenset(dup) if isinstance(dup, frozenset) else dup]
+        with pytest.raises(ValueError) as want:
+            oracles.plain_finset_elements(again)
+        with pytest.raises(ValueError) as got:
+            FinSet(again)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("duplicate atom ")
+
+
+@pytest.mark.parametrize("bad", [
+    ("a", 3),                       # a non-atom inside a pair
+    frozenset({("a", "b", "c")}),   # a 3-tuple inside a set
+    ("a", ["x"]),                   # a list inside a pair
+    (frozenset({"a"}), ("b", ["x"])),
+])
+def test_non_atoms_fail_as_without_a_memo(bad):
+    with pytest.raises(TypeError) as want:
+        oracles.plain_finset_elements(["a", bad])
+    with pytest.raises(TypeError) as got:
+        FinSet(["a", bad])
+    assert str(got.value) == str(want.value)
+    assert "unhashable" not in str(got.value)

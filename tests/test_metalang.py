@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+from monarel import metalang
 from monarel import (FinSet, LawReport, Model, ParseError, Rel,
                      TypecheckError, atom_key, basic_lemma_check, denote,
                      dist_monad, eval_term,
@@ -499,6 +500,25 @@ def test_basic_lemma_holds_on_generated_terms():
         rep = basic_lemma_check(MODEL, MODEL, {"b": DIAG}, ctx, t)
         assert rep.ok, term_str(t)
         checked += 1
+
+
+def test_basic_lemma_builds_one_relation_per_context_type(monkeypatch):
+    # f and g share b -> T b over three fully related atoms: the relation
+    # there is built once before the product of the two is refused
+    abc = FinSet(["a", "b", "c"])
+    model = Model(powerset_monad(), {"b": abc})
+    full = {"b": Rel(abc, abc, itertools.product(abc, abc))}
+    calls = []
+
+    def counted(m1, m2, base, ty):
+        calls.append(ty)
+        return logical_relation(m1, m2, base, ty)
+    monkeypatch.setattr(metalang, "logical_relation", counted)
+    ctx = {"g": parse_ty("b -> T b"), "f": parse_ty("b -> T b")}
+    with pytest.raises(ValueError) as err:
+        basic_lemma_check(model, model, full, ctx, parse("val ()"))
+    assert str(err.value).startswith("the product of the relations at f, g ")
+    assert calls.count(parse_ty("b -> T b")) == 1
 
 
 # -------------------------------------------------------------- synthesis
