@@ -172,8 +172,6 @@ def _atom_str(t: Tm) -> str:
 class ParseError(ValueError):
     def __init__(self, message, line, col):
         super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
 
 
 _KEYWORDS = {"val", "let", "in", "fst", "snd"}
@@ -355,7 +353,6 @@ class TypecheckError(ValueError):
     def __init__(self, message, pos=None):
         where = f"{pos[0]}:{pos[1]}: " if pos else ""
         super().__init__(where + message)
-        self.pos = pos
 
 
 def typecheck(ctx, t: Tm) -> Ty:

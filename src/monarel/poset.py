@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finset import FinSet, product_set, refuse_first, sorted_pairs, subsets
+from .finset import FinSet, refuse_first, sorted_pairs, subsets
 from .lawcheck import product_delta
 from .monads import MonadInstance
 
@@ -106,14 +106,8 @@ def discrete(atoms) -> FinPoset:
 
 
 def ord_product(p: FinPoset, q: FinPoset) -> FinPoset:
-    carrier = product_set(p.carrier, q.carrier)
-    leq = [
-        ((x1, y1), (x2, y2))
-        for (x1, y1) in carrier
-        for (x2, y2) in carrier
-        if p.le(x1, x2) and q.le(y1, y2)
-    ]
-    return FinPoset(carrier, leq)
+    """p x q: the relation of all pairs, under its default product order."""
+    return OrderedRel(p, q, [(x, y) for x in p for y in q]).as_poset()
 
 
 # ---------------------------------------------------------- upper monad
@@ -194,6 +188,11 @@ def upper_monad() -> MonadInstance:
 SYSTEMS = ("epi-regmono", "extremalepi-mono")
 
 
+def _below(left: FinPoset, right: FinPoset, u, v) -> bool:
+    """u <= v in the product order of left x right."""
+    return left.le(u[0], v[0]) and right.le(u[1], v[1])
+
+
 class OrderedRel:
     """A relation between two posets, itself carrying a partial order.
 
@@ -208,16 +207,13 @@ class OrderedRel:
         self.pairs = pairs = frozenset(pairs)
         refuse_first([(a, b) for a, b in pairs if a not in left or b not in right],
                      lambda p: f"pair ({p[0]!r},{p[1]!r}) outside the carriers")
-
-        def below(p, q):
-            return left.le(p[0], q[0]) and right.le(p[1], q[1])
-
         if order is None:  # the product order on the pairs, below it already
-            order, given = [(p, q) for p in pairs for q in pairs if below(p, q)], ()
+            order, given = [(p, q) for p in pairs for q in pairs
+                            if _below(left, right, p, q)], ()
         else:  # the product order is reflexive and transitive: check the given pairs
             order = given = list(order)
         self._poset = FinPoset(FinSet(pairs), order)
-        refuse_first([(p, q) for p, q in given if not below(p, q)],
+        refuse_first([(p, q) for p, q in given if not _below(left, right, p, q)],
                      lambda pq: f"order pair {pq[0]!r} <= {pq[1]!r} is not "
                                 "below the product order")
 
@@ -261,8 +257,7 @@ def factorize_ord(phi, dom: FinPoset, left: FinPoset, right: FinPoset,
         if a not in left or b not in right:
             raise ValueError(f"image of {x!r} outside the codomain")
     pushed = {(phi[x], phi[y]) for x, y in dom.pairs}
-    refuse_first([(u, v) for u, v in pushed
-                  if not (left.le(u[0], v[0]) and right.le(u[1], v[1]))],
+    refuse_first([(u, v) for u, v in pushed if not _below(left, right, u, v)],
                  lambda uv: f"not monotone: {uv[0]!r} is not below {uv[1]!r} "
                             "in the product")
     image = {phi[x] for x in dom}

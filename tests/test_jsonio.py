@@ -145,6 +145,18 @@ def test_ordered_rel_round_trip():
     assert (("0", "0"), ("1", "1")) not in s2.order
 
 
+def test_ordered_rel_loads_an_explicit_order():
+    chain01 = FinPoset(["0", "1"], [("0", "1")])
+    pairs = [("0", "0"), ("1", "1")]
+    obj = {"left": poset_json(chain01), "right": poset_json(chain01),
+           "pairs": [list(p) for p in pairs],
+           "order": [[["0", "0"], ["1", "1"]]]}
+    assert load_ordered_rel(obj) == OrderedRel(chain01, chain01, pairs,
+                                               [(pairs[0], pairs[1])])
+    with pytest.raises(ValueError, match="must pair two pairs"):
+        load_ordered_rel(dict(obj, order=[[["0", "0"]]]))
+
+
 def test_model_loader():
     m = load_model({"monad": "powerset", "base": {"b": ["a0", "a1"]}})
     assert m.monad.name == "powerset"

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import monarel
 import oracles
-from monarel import (FinPoset, FinSet, OrderedRel, Rel, SYSTEMS, chain,
+from monarel import (ORD, FinPoset, FinSet, OrderedRel, Rel, SYSTEMS, chain,
                      discrete, factorize_ord, lift_enumerate,
                      lift_relation_ord, nonempty_powerset_monad, ord_product,
                      subsets, upper_monad)
@@ -367,6 +368,66 @@ def test_ordered_rel_accepts_coarser_suborders():
     s = OrderedRel(c, c, [("0", "0"), ("1", "1")], order=[])
     assert s.order == {(("0", "0"), ("0", "0")), (("1", "1"), ("1", "1"))}
     assert s.as_poset().is_antichain([("0", "0"), ("1", "1")])
+
+
+# ---------------------------------------------------------- product order
+
+def product_order(p, q, pairs):
+    """The product order of p x q restricted to pairs, by its definition:
+    componentwise, read off the two orders' pair sets."""
+    return {(u, v) for u in pairs for v in pairs
+            if (u[0], v[0]) in p.pairs and (u[1], v[1]) in q.pairs}
+
+
+def two_point_posets():
+    return [p for p in all_posets(2) if len(p) == 2]
+
+
+def test_ord_product_is_the_product_order_on_every_small_pair():
+    # every pair of posets on at most 2 points, and the ORD default grid
+    small = list(all_posets(2)) + ORD.default_sets()
+    for p, q in itertools.product(small, repeat=2):
+        every = [(x, y) for x in p for y in q]
+        r = ord_product(p, q)
+        assert r.carrier == FinSet(every)
+        assert r.pairs == product_order(p, q, every), (p, q)
+
+
+def test_ordered_rel_orders_every_relation_between_two_point_posets():
+    for p, q in itertools.product(two_point_posets(), repeat=2):
+        for pairs in subsets([(x, y) for x in p for y in q]):
+            full = product_order(p, q, pairs)
+            assert OrderedRel(p, q, pairs).order == full, (p, q, pairs)
+            assert OrderedRel(p, q, pairs, full).order == full
+            # each single pair outside the product order is refused
+            for u, v in itertools.product(pairs, repeat=2):
+                if (u, v) not in full:
+                    with pytest.raises(ValueError,
+                                       match="not below the product order"):
+                        OrderedRel(p, q, pairs, [(u, v)])
+
+
+def test_factorize_refuses_exactly_the_non_monotone_maps():
+    # every map from a 2-point poset into a 2-point x 1-point product,
+    # and into the 1-point x 2-point one
+    refused = accepted = 0
+    for dom, cod in itertools.product(two_point_posets(), repeat=2):
+        for image in itertools.product(cod, repeat=2):
+            mapping = dict(zip(dom, image))
+            monotone = all(cod.le(mapping[x], mapping[y]) for x, y in dom.pairs)
+            for left, right, phi in (
+                    (cod, PT, {x: (y, "*") for x, y in mapping.items()}),
+                    (PT, cod, {x: ("*", y) for x, y in mapping.items()})):
+                for sysname in SYSTEMS:
+                    if monotone:
+                        r = factorize_ord(phi, dom, left, right, sysname)
+                        assert r.pairs == set(phi.values())
+                        accepted += 1
+                    else:
+                        with pytest.raises(ValueError, match="not monotone"):
+                            factorize_ord(phi, dom, left, right, sysname)
+                        refused += 1
+    assert min(refused, accepted) > 0
 
 
 # ----------------------------------------------------------- lifted rels
