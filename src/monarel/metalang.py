@@ -626,6 +626,10 @@ def basic_lemma_check(model1: Model, model2: Model, base_rels, ctx,
     logical relation at the context types and checks the two
     denotations of t against the relation at its type.  Raises
     ValueError when there are more than MAX_ENV_PAIRS such pairs.
+
+    Each model evaluates t once per distinct environment, and each
+    distinct pair of denotations is tested once.  Both memos fill in
+    case order, so the report and the first error stay per pair.
     """
     ty = typecheck(ctx, t)
     related = _relates(model1, model2, base_rels, ty)
@@ -639,12 +643,23 @@ def basic_lemma_check(model1: Model, model2: Model, base_rels, ctx,
     within_limit(f"the product of the relations at {', '.join(names)}",
                  math.prod(map(len, rels)), MAX_ENV_PAIRS)
 
+    den1 = {}
+    den2 = den1 if model2 is model1 else {}
+    verdicts = {}
+
     def cases():
         for choice in itertools.product(*rels):
             env1 = {x: p[0] for x, p in zip(names, choice)}
             env2 = {x: p[1] for x, p in zip(names, choice)}
-            d = (eval_term(model1, env1, t), eval_term(model2, env2, t))
-            yield "basic-lemma", (env1, env2), d, d if related(*d) else "member"
+            k1, k2 = tuple(env1.values()), tuple(env2.values())
+            if k1 not in den1:
+                den1[k1] = eval_term(model1, env1, t)
+            if k2 not in den2:
+                den2[k2] = eval_term(model2, env2, t)
+            d = (den1[k1], den2[k2])
+            if d not in verdicts:
+                verdicts[d] = related(*d)
+            yield "basic-lemma", (env1, env2), d, d if verdicts[d] else "member"
 
     return run_cases("basic-lemma", cases())
 

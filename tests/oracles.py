@@ -9,8 +9,10 @@ import copy
 import itertools
 from fractions import Fraction
 
-from monarel import (FinPoset, FinSet, OrderedRel, RatDist, Rel, atom_key,
-                     atom_str, ord_product, upper_monad)
+from monarel import (FinPoset, FinSet, LawReport, OrderedRel, RatDist, Rel,
+                     atom_key, atom_str, eval_term, logical_relation,
+                     ord_product, typecheck, upper_monad)
+from monarel.metalang import _relates
 
 
 def realization_exists(b1, b2, s):
@@ -297,3 +299,24 @@ def fraction_mediator(mode, t, u):
         for y, wy in u.weights.items()
     }
     return RatDist(out, mode)
+
+
+def plain_basic_lemma(model1, model2, base_rels, ctx, t):
+    """basic_lemma_check with no memo: both sides of every environment
+    pair evaluated afresh, and the relation at t's type tested on every
+    pair of denotations, in the order of the product of the relations
+    at the sorted context names."""
+    related = _relates(model1, model2, base_rels, typecheck(ctx, t))
+    names = sorted(ctx)
+    rels = [logical_relation(model1, model2, base_rels, ctx[x]) for x in names]
+    n = 0
+    for choice in itertools.product(*rels):
+        n += 1
+        env1 = {x: p[0] for x, p in zip(names, choice)}
+        env2 = {x: p[1] for x, p in zip(names, choice)}
+        d = (eval_term(model1, env1, t), eval_term(model2, env2, t))
+        if not related(*d):
+            cex = {"diagram": "basic-lemma", "input": (env1, env2),
+                   "lhs": d, "rhs": "member"}
+            return LawReport("basic-lemma", False, n, cex, None)
+    return LawReport("basic-lemma", True, n, None, None)

@@ -521,6 +521,63 @@ def test_basic_lemma_builds_one_relation_per_context_type(monkeypatch):
     assert calls.count(parse_ty("b -> T b")) == 1
 
 
+Z = FinSet(["z0", "z1"])
+
+
+@pytest.mark.parametrize("model1, model2, holds", [
+    (MODEL, MODEL, True),
+    (MODEL, Model(powerset_monad(), {"b": Z}), True),
+    (MODEL, Model(powerset_monad(), {"b": B}), True),
+    (Model(lossy_powerset(), {"b": B}), MODEL, False),
+], ids=["one-model", "other-atoms", "equal-models", "lossy"])
+def test_basic_lemma_report_matches_the_plain_loop(model1, model2, holds):
+    # criterion 4's terms, each over every relation between the two
+    # base carriers (the diagonal among them when the carriers agree)
+    left, right = model1.base["b"], model2.base["b"]
+    grid = list(itertools.product(left, right))
+    rels = [Rel(left, right, picked) for k in range(len(grid) + 1)
+            for picked in itertools.combinations(grid, k)]
+    rng = random.Random(12)
+    ctx = {"x": Base("b"), "m": TTy(Base("b"))}
+    types = [TTy(Base("b")), Arrow(Base("b"), TTy(Base("b"))),
+             TTy(Prod(Base("b"), UnitTy())),
+             Arrow(TTy(Base("b")), TTy(Base("b")))]
+    terms = []
+    while len(terms) < 40:
+        t = synthesize(rng, ctx, types[len(terms) % len(types)], 8)
+        if t is not None:
+            terms.append(t)
+    failed = 0
+    for t in terms:
+        for rel in rels:
+            rep = basic_lemma_check(model1, model2, {"b": rel}, ctx, t)
+            assert rep == oracles.plain_basic_lemma(
+                model1, model2, {"b": rel}, ctx, t), (term_str(t), rel)
+            failed += not rep.ok
+    # with the lossy unit some reports fail, so counterexamples compare too
+    assert (failed == 0) == holds
+
+
+@pytest.mark.parametrize("model2", [
+    MODEL, Model(powerset_monad(), {"b": Z}), Model(powerset_monad(), {"b": B}),
+], ids=["one-model", "other-atoms", "equal-models"])
+def test_basic_lemma_evaluates_each_environment_once(monkeypatch, model2):
+    # x:b, m:T b over the full relation: 4 * 10 environment pairs, but
+    # only 2 * 4 environments on each side
+    full = {"b": Rel(B, model2.base["b"],
+                     itertools.product(B, model2.base["b"]))}
+    calls = []
+
+    def counted(model, env, t):
+        calls.append(model)
+        return eval_term(model, env, t)
+    monkeypatch.setattr(metalang, "eval_term", counted)
+    rep = basic_lemma_check(MODEL, model2, full,
+                            {"x": Base("b"), "m": TTy(Base("b"))}, parse("m"))
+    assert rep.ok and rep.cases == 40
+    assert len(calls) == (8 if model2 is MODEL else 16)
+
+
 # -------------------------------------------------------------- synthesis
 
 def test_synthesize_is_seed_deterministic():
