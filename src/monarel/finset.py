@@ -83,7 +83,18 @@ class FinSet:
         for (kx, x), (ky, _) in zip(keyed, keyed[1:]):
             if kx == ky:
                 raise ValueError(f"duplicate atom {atom_str(x)!r}")
-        elems = tuple(a for _, a in keyed)
+        self._fill(tuple(a for _, a in keyed))
+
+    @classmethod
+    def _in_order(cls, elems):
+        """The FinSet of elems, which the caller guarantees are distinct
+        and already in atom_key order: they are not keyed, sorted or
+        checked."""
+        s = object.__new__(cls)
+        s._fill(tuple(elems))
+        return s
+
+    def _fill(self, elems):
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_index", frozenset(elems))
 
@@ -110,7 +121,9 @@ class FinSet:
 
 
 def product_set(a: FinSet, b: FinSet) -> FinSet:
-    return FinSet([(x, y) for x in a for y in b])
+    # a pair's key compares its left atom's key first, and both carriers
+    # are in atom_key order, so the pairs come out in that order
+    return FinSet._in_order([(x, y) for x in a for y in b])
 
 
 def sorted_pairs(pairs, left: FinSet, right: FinSet):

@@ -421,13 +421,15 @@ class Model:
     """An enumerable monad together with carriers for the base types.
 
     The base mapping is copied and read-only, so the carriers denote
-    caches per type stay valid.
+    caches per type, and the relations logical_relation keeps, stay valid.
     """
 
     monad: MonadInstance
     base: Mapping
     _carriers: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    _relations: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         if not self.monad.enumerable or self.monad.category is not SET:
@@ -480,11 +482,11 @@ def _build_carrier(model: Model, ty: Ty) -> FinSet:
         cod = list(denote(model, ty.cod))
         dom = list(denote(model, ty.dom))
         within_limit(what, len(cod) ** len(dom))
-        graphs = [
+        # dom is in atom_key order, so a graph's key compares its outputs
+        # in turn, and itertools.product yields the graphs in that order
+        return FinSet._in_order(
             frozenset(zip(dom, outs))
-            for outs in itertools.product(cod, repeat=len(dom))
-        ]
-        return FinSet(graphs)
+            for outs in itertools.product(cod, repeat=len(dom)))
     if isinstance(ty, TTy):
         arg = denote(model, ty.arg)
         within_limit(what, model.monad.size(len(arg)))
@@ -550,11 +552,33 @@ def logical_relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
     the relation through the monad.  At a product or an arrow it is the
     pairs of the two carriers that _relates accepts (componentwise, and
     graphs that send related arguments to related results).
+
+    model1 keeps each relation it builds, by model2, the contents of
+    base_rels and ty.  A refusal is not kept: it is raised again.
     """
     if model1.monad.name != model2.monad.name:
         raise ValueError(
             f"models disagree on the monad: "
             f"{model1.monad.name} vs {model2.monad.name}")
+    try:
+        # by contents, not by the mapping's identity: a dict may change
+        key = (id(model2), frozenset(base_rels.items()), ty)
+    except (AttributeError, TypeError):
+        # no mapping of hashable relations: refused below, as it was
+        return _relation(model1, model2, base_rels, ty)
+    kept = model1._relations.get(key)
+    if kept is None:
+        # the entry holds model2, so no other model takes its id while
+        # the entry lives; model1 itself is not held, to make no cycle
+        kept = model1._relations[key] = (
+            None if model2 is model1 else model2,
+            _relation(model1, model2, base_rels, ty))
+    return kept[1]
+
+
+def _relation(model1: Model, model2: Model, base_rels, ty: Ty) -> Rel:
+    """logical_relation built afresh; what it is made of comes through
+    logical_relation, and so from model1's relations."""
     if isinstance(ty, Base):
         if ty.name not in base_rels:
             raise ValueError(f"unknown base type {ty.name!r}")

@@ -116,17 +116,28 @@ def test_relations_iterate_in_key_order():
 
 @pytest.fixture
 def against_plain(monkeypatch):
-    """Checks every FinSet built during the test against
-    oracles.plain_finset_elements on the same input; yields the sizes."""
+    """Checks every FinSet built during the test, by the constructor or
+    by the in-order route, against oracles.plain_finset_elements on the
+    same input; yields the sizes.  An in-order set must also equal the
+    one the constructor builds."""
     built = []
-    init = FinSet.__init__
+    init, in_order = FinSet.__init__, FinSet._in_order.__func__
 
     def checked(self, elements):
         elements = list(elements)
         init(self, elements)
         assert self.elements == oracles.plain_finset_elements(elements)
         built.append(len(elements))
+
+    def checked_in_order(cls, elements):
+        elements = list(elements)
+        got = in_order(cls, elements)
+        assert got.elements == oracles.plain_finset_elements(elements)
+        assert got == FinSet(elements)
+        built.append(len(elements))
+        return got
     monkeypatch.setattr(FinSet, "__init__", checked)
+    monkeypatch.setattr(FinSet, "_in_order", classmethod(checked_in_order))
     return built
 
 
@@ -137,6 +148,29 @@ def test_denote_carriers_match_the_plain_constructor(against_plain):
         for src in ("T b", "b -> T b", "T (b * Unit)", "T b -> T b"):
             denote(model, parse_ty(src))
     assert max(against_plain) == 256  # the graphs of T b -> T b
+
+
+def test_in_order_carriers_equal_the_checked_ones(against_plain):
+    # every arrow and product carrier over bases of 0-3 atoms, pair atoms
+    # among them, comes out as the constructor orders the same elements
+    types = [parse_ty(src) for src in (
+        "b * c", "c * b", "b * b", "(b * c) * b", "b * Unit", "Unit * c",
+        "b -> c", "c -> b", "b -> b", "b * c -> b", "b -> c * b",
+        "(b -> c) -> b", "b -> T c", "T b -> c", "(b -> c) * T b")]
+    bases = [[], ["a"], ["b", "a"], [("a", "b"), "a"],
+             ["c", ("b", "a"), ("a", "c")]]
+    checked = 0
+    for b_atoms, c_atoms in itertools.product(bases, repeat=2):
+        model = Model(powerset_monad(),
+                      {"b": FinSet(b_atoms), "c": FinSet(c_atoms)})
+        for ty in types:
+            try:
+                carrier = denote(model, ty)
+            except ValueError:  # over MAX_CARRIER: nothing built to compare
+                continue
+            assert carrier == FinSet(list(carrier)), (b_atoms, c_atoms, ty)
+            checked += 1
+    assert checked > 300 and max(against_plain) > 256
 
 
 @pytest.mark.parametrize("monad", [powerset_monad, nonempty_powerset_monad,

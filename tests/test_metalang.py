@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import random
 
@@ -440,6 +441,99 @@ def test_relates_refuses_what_logical_relation_refuses():
         with pytest.raises(ValueError) as got:
             _relates(MODEL, MODEL, full, ty)
         assert str(got.value) == str(want.value), src
+
+
+def _answer(model1, model2, base, ty):
+    """logical_relation's pairs, or the text of its refusal."""
+    try:
+        return logical_relation(model1, model2, base, ty).pairs
+    except ValueError as err:
+        return str(err)
+
+
+def test_kept_relations_match_fresh_models():
+    # one long-lived pair of models is asked, in one interleaved order,
+    # twice for each relation between {a0,a1} and {z0,z1} and for the
+    # diagonal, each also across the wrong pair of models (refused at b),
+    # at every predicate type (criterion 4's four among them); each
+    # answer is the one fresh models, which keep nothing yet, give
+    left, right = FinSet(["a0", "a1"]), FinSet(["z0", "z1"])
+    m1 = Model(powerset_monad(), {"b": left})
+    m2 = Model(powerset_monad(), {"b": right})
+    cells = list(itertools.product(left, right))
+    asks = [(True, Rel.diagonal(left)), (False, Rel.diagonal(left))]
+    asks += [(same, Rel(left, right, picked)) for k in range(len(cells) + 1)
+             for picked in itertools.combinations(cells, k)
+             for same in (False, True)]
+    keys = [(same, rel, src) for same, rel in asks for src in PREDICATE_TYPES]
+    order = keys + keys
+    random.Random(26).shuffle(order)
+    fresh = {}
+    for same, rel, src in order:
+        ty = parse_ty(src)
+        got = _answer(m1, m1 if same else m2, {"b": rel}, ty)
+        if (same, rel, src) not in fresh:
+            f1 = Model(powerset_monad(), {"b": left})
+            f2 = f1 if same else Model(powerset_monad(), {"b": right})
+            fresh[same, rel, src] = _answer(f1, f2, {"b": rel}, ty)
+        assert got == fresh[same, rel, src], (same, rel, src)
+    assert sum(isinstance(a, str) for a in fresh.values()) > len(keys) // 3
+
+
+def test_a_dropped_model_leaves_no_relation_under_its_id():
+    # a model built right after another is dropped may take its id (in
+    # CPython it does when nothing else is allocated in between, and
+    # often not after gc.collect(), so the rounds alternate); the
+    # relations kept for the dropped one must not answer for it
+    left = FinSet(["a0", "a1"])
+    m1 = Model(powerset_monad(), {"b": left})
+    ty = parse_ty("b -> T b")
+    for i in range(20):
+        old = FinSet([f"z{i}", f"y{i}"])
+        m2 = Model(powerset_monad(), {"b": old})
+        stale = {"b": Rel(left, old, itertools.product(left, old))}
+        logical_relation(m1, m2, stale, ty)
+        new = FinSet([f"x{i}"])
+        monad, base = powerset_monad(), {"b": new}
+        del m2
+        if i % 2:
+            gc.collect()
+        m3 = Model(monad, base)
+        with pytest.raises(ValueError, match="does not match the models"):
+            logical_relation(m1, m3, stale, ty)
+        base = {"b": Rel(left, new, [("a0", f"x{i}")])}
+        f1 = Model(powerset_monad(), {"b": left})
+        f3 = Model(powerset_monad(), {"b": new})
+        assert _answer(m1, m3, base, ty) == _answer(f1, f3, base, ty)
+
+
+def test_a_refusal_is_raised_again_with_its_message():
+    full = {"b": Rel(B, B, itertools.product(B, B))}
+    # kept with MODEL as the second model, it must not answer for another
+    assert len(logical_relation(MODEL, MODEL, full, parse_ty("b -> b"))) == 16
+    other = Model(nonempty_powerset_monad(), {"b": B})
+    refused = [
+        (MODEL, other, full, "b"),                       # the monads differ
+        (MODEL, Model(powerset_monad(), {"b": Z}), full, "b -> b"),
+        (MODEL, MODEL, full, "(T (b -> b) -> b) -> b"),  # over the limit
+        (MODEL, MODEL, full, "b * c"),                   # unknown base type
+    ]
+    for m1, m2, base, src in refused:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                logical_relation(m1, m2, base, parse_ty(src))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], src
+    # a base mapping that is no mapping of relations fails as it always
+    # did, with or without a relation kept at Unit
+    for base, error in [(None, TypeError), ({"b": {"pairs": []}}, AttributeError),
+                        ({"b": "rel"}, AttributeError), ([], ValueError)]:
+        for _ in range(2):
+            assert logical_relation(MODEL, MODEL, base, UnitTy()).pairs == {
+                ("*", "*")}
+            with pytest.raises(error):
+                logical_relation(MODEL, MODEL, base, parse_ty("b -> b"))
 
 
 def test_logical_relation_computation_clause_is_the_lifted_relation():
